@@ -95,6 +95,23 @@ std::optional<PhysicalAddress> TwoEndedPlacement::Choose(const FreeList& holes, 
   return std::nullopt;
 }
 
+bool IsPlacementPolicyKind(PlacementStrategyKind kind) {
+  switch (kind) {
+    case PlacementStrategyKind::kFirstFit:
+    case PlacementStrategyKind::kNextFit:
+    case PlacementStrategyKind::kBestFit:
+    case PlacementStrategyKind::kWorstFit:
+    case PlacementStrategyKind::kTwoEnded:
+      return true;
+    case PlacementStrategyKind::kBuddy:
+    case PlacementStrategyKind::kRiceChain:
+    case PlacementStrategyKind::kSegregatedFit:
+    case PlacementStrategyKind::kSlabPool:
+      return false;  // whole-allocator designs; see MakeAllocator in allocator_factory.h
+  }
+  return false;
+}
+
 std::unique_ptr<PlacementPolicy> MakePlacementPolicy(PlacementStrategyKind kind,
                                                      WordCount large_threshold) {
   switch (kind) {

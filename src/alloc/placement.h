@@ -111,8 +111,13 @@ class TwoEndedPlacement : public PlacementPolicy {
   WordCount large_threshold_;
 };
 
+// True for the kinds MakePlacementPolicy builds (first/next/best/worst/
+// two-ended); false for the whole-allocator designs, which only
+// MakeAllocator (src/alloc/allocator_factory.h) builds.
+bool IsPlacementPolicyKind(PlacementStrategyKind kind);
+
 // Factory over the enum, for builders and parameterized tests.  `large_threshold`
-// applies to kTwoEnded only.
+// applies to kTwoEnded only; `kind` must satisfy IsPlacementPolicyKind.
 std::unique_ptr<PlacementPolicy> MakePlacementPolicy(PlacementStrategyKind kind,
                                                      WordCount large_threshold = 256);
 

@@ -12,9 +12,11 @@ constexpr char kMagic[8] = {'D', 'S', 'A', 'S', 'N', 'A', 'P', '1'};
 constexpr std::size_t kHeaderBytes = 8 + 4 + 8 + 8;  // magic, version, length, fnv
 
 void AppendLe(std::string* out, std::uint64_t v, int bytes) {
+  char buf[8];
   for (int i = 0; i < bytes; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    buf[i] = static_cast<char>((v >> (8 * i)) & 0xff);
   }
+  out->append(buf, static_cast<std::size_t>(bytes));
 }
 
 std::uint64_t ParseLe(const char* p, int bytes) {
@@ -226,38 +228,50 @@ SnapshotWriter* SectionedSnapshotWriter::Begin(const std::string& name) {
 
 void SectionedSnapshotWriter::Section(const std::string& name, std::string body) {
   Finish();
-  sections_.emplace_back(name, std::move(body));
+  sections_.push_back({name, std::make_shared<const std::string>(std::move(body))});
+}
+
+void SectionedSnapshotWriter::Section(const std::string& name,
+                                      std::shared_ptr<const std::string> body,
+                                      std::uint64_t hash) {
+  Finish();
+  sections_.push_back({name, std::move(body), hash});
 }
 
 void SectionedSnapshotWriter::Finish() {
   if (!open_) {
     return;
   }
-  sections_.emplace_back(std::move(current_name_), current_.TakePayload());
+  sections_.push_back(
+      {std::move(current_name_), std::make_shared<const std::string>(current_.TakePayload())});
   current_name_.clear();
   open_ = false;
 }
 
-std::string SectionedSnapshotWriter::SealKind(std::uint8_t kind,
-                                              const SectionBaseline* base) const {
+std::uint64_t SectionedSnapshotWriter::HashOf(Entry* entry) {
+  if (!entry->hash.has_value()) {
+    entry->hash = Fnv64(*entry->body);
+  }
+  return *entry->hash;
+}
+
+std::string SectionedSnapshotWriter::SealKind(std::uint8_t kind, const SectionBaseline* base) {
   SnapshotWriter w;
   w.U8(kind);
   w.U64(sections_.size());
-  for (const auto& [name, body] : sections_) {
-    w.Str(name);
-    std::uint64_t hash = 0;
+  for (Entry& entry : sections_) {
+    w.Str(entry.name);
     bool as_ref = false;
     if (base != nullptr) {
-      hash = Fnv64(body);
-      auto it = base->hashes.find(name);
-      as_ref = it != base->hashes.end() && it->second == hash;
+      auto it = base->hashes.find(entry.name);
+      as_ref = it != base->hashes.end() && it->second == HashOf(&entry);
     }
     if (as_ref) {
       w.U8(kSectionRef);
-      w.U64(hash);
+      w.U64(*entry.hash);
     } else {
       w.U8(kSectionInline);
-      w.Bytes(body);
+      w.Bytes(*entry.body);
     }
   }
   return w.Seal();
@@ -276,8 +290,8 @@ std::string SectionedSnapshotWriter::SealDelta(const SectionBaseline& base) {
 SectionBaseline SectionedSnapshotWriter::Digest() {
   Finish();
   SectionBaseline digest;
-  for (const auto& [name, body] : sections_) {
-    digest.hashes[name] = Fnv64(body);
+  for (Entry& entry : sections_) {
+    digest.hashes[entry.name] = HashOf(&entry);
   }
   return digest;
 }

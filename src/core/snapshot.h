@@ -24,6 +24,8 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <string_view>
@@ -163,6 +165,11 @@ struct SectionBaseline {
 // Builds a sectioned snapshot.  Components stream into Begin()'s writer just
 // like the flat SaveState path; cached pre-serialized bodies go in via
 // Section() without re-encoding.
+//
+// Hashing contract: each section's fnv64 is computed at most once per writer
+// and shared by Digest() and SealDelta(), and a body handed in with its hash
+// is never hashed here at all.  SealFull() hashes no section (only the
+// container checksum over the whole payload).
 class SectionedSnapshotWriter {
  public:
   // Opens a new section; the returned writer is valid until the next Begin/
@@ -172,6 +179,13 @@ class SectionedSnapshotWriter {
   // Adds a section from an already-serialized body (a raw payload, no
   // container header) — the delta path's cache hit.
   void Section(const std::string& name, std::string body);
+
+  // The same, for a shared cached body whose fnv64 the caller already holds.
+  // `hash` must equal Fnv64(*body): a stale hash that matches the baseline
+  // would seal a ref to the old body, and the chain would restore old state
+  // without any checksum noticing.  The body is shared, not copied.
+  void Section(const std::string& name, std::shared_ptr<const std::string> body,
+               std::uint64_t hash);
 
   // Every section inline.
   std::string SealFull();
@@ -185,10 +199,17 @@ class SectionedSnapshotWriter {
   SectionBaseline Digest();
 
  private:
-  void Finish();
-  std::string SealKind(std::uint8_t kind, const SectionBaseline* base) const;
+  struct Entry {
+    std::string name;
+    std::shared_ptr<const std::string> body;
+    std::optional<std::uint64_t> hash{};  // Fnv64(*body), once computed or given
+  };
 
-  std::vector<std::pair<std::string, std::string>> sections_;  // (name, body)
+  void Finish();
+  std::uint64_t HashOf(Entry* entry);
+  std::string SealKind(std::uint8_t kind, const SectionBaseline* base);
+
+  std::vector<Entry> sections_;
   SnapshotWriter current_;
   std::string current_name_;
   bool open_{false};

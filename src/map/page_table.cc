@@ -204,10 +204,11 @@ void PageTableMapper::SaveSections(SectionedSnapshotWriter* w) const {
     if (cache.version != table_.chunk_version(k)) {
       SnapshotWriter cw;
       table_.SaveChunk(k, &cw);
-      cache.body = cw.TakePayload();
+      cache.body = std::make_shared<const std::string>(cw.TakePayload());
+      cache.hash = Fnv64(*cache.body);
       cache.version = table_.chunk_version(k);
     }
-    w->Section(ChunkSectionName(k), cache.body);
+    w->Section(ChunkSectionName(k), cache.body, cache.hash);
   }
 }
 

@@ -7,6 +7,7 @@
 #define SRC_MAP_PAGE_TABLE_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -100,17 +101,20 @@ class PageTableMapper : public AddressMapper {
 
   // Sectioned serialization for delta checkpoints: a "map.head" section
   // (geometry, TLB, translation line, accounting) followed by one
-  // "map.pt.<k>" section per page-table chunk.  Chunk bodies are served
-  // from a version-keyed cache, so a chunk untouched since the previous
-  // seal costs a hash lookup instead of a re-encode — and an unchanged
-  // body then collapses to a 17-byte ref in the delta seal.
+  // "map.pt.<k>" section per page-table chunk.  Chunk bodies and their
+  // fnv64 are served from a version-keyed cache, so a chunk untouched since
+  // the previous seal costs neither a re-encode, a copy nor a hash — and an
+  // unchanged body then collapses to a 17-byte ref in the delta seal.
   void SaveSections(SectionedSnapshotWriter* w) const;
   void LoadSections(SectionSource* src);
 
  private:
+  // The body and its hash share one version key: both are rebuilt together
+  // or not at all, so the hash can never describe a different body.
   struct ChunkCache {
     std::uint64_t version{0};  // 0 never matches a live chunk version
-    std::string body;
+    std::shared_ptr<const std::string> body;
+    std::uint64_t hash{0};  // Fnv64(*body)
   };
 
   WordCount page_words_;
@@ -129,7 +133,9 @@ class PageTableMapper : public AddressMapper {
   std::uint64_t line_frame_{0};
   std::uint64_t line_hits_{0};
   // Serialization cache for SaveSections; mutable because caching chunk
-  // bodies does not change observable mapper state.
+  // bodies does not change observable mapper state.  Bodies are shared with
+  // the writers they were handed to, so re-encoding a chunk never invalidates
+  // a body an earlier, still-unsealed writer holds.
   mutable std::vector<ChunkCache> chunk_cache_;
 };
 

@@ -1,9 +1,11 @@
 #include "src/trace/trace_io.h"
 
+#include <charconv>
 #include <istream>
 #include <ostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 namespace dsa {
 
@@ -21,7 +23,7 @@ char KindChar(AccessKind kind) {
   return '?';
 }
 
-bool ParseKind(const std::string& token, AccessKind* kind) {
+bool ParseKind(std::string_view token, AccessKind* kind) {
   if (token == "r") {
     *kind = AccessKind::kRead;
   } else if (token == "w") {
@@ -48,6 +50,48 @@ bool MeaningfulLine(std::string* line) {
   return true;
 }
 
+// Pops the next blank-delimited token off the front of `rest`; empty once
+// none remain.  The blanks are the ones `istream >>` skips.
+std::string_view NextToken(std::string_view* rest) {
+  constexpr std::string_view kBlanks = " \t\r\v\f";
+  const auto begin = rest->find_first_not_of(kBlanks);
+  if (begin == std::string_view::npos) {
+    *rest = {};
+    return {};
+  }
+  rest->remove_prefix(begin);
+  const std::string_view token = rest->substr(0, rest->find_first_of(kBlanks));
+  rest->remove_prefix(token.size());
+  return token;
+}
+
+// Parses the fields of a `ref` line after the verb: exactly a decimal name
+// and an access kind.  Signs, overflow and trailing tokens are errors.
+Expected<Reference, std::string> ParseRefFields(std::string_view rest) {
+  const std::string_view name_token = NextToken(&rest);
+  const std::string_view kind_token = NextToken(&rest);
+  if (kind_token.empty()) {
+    return MakeUnexpected(std::string("expected: ref <name> <r|w|x>"));
+  }
+  std::uint64_t name = 0;
+  const char* end = name_token.data() + name_token.size();
+  const auto [ptr, ec] = std::from_chars(name_token.data(), end, name);
+  if (ec == std::errc::result_out_of_range) {
+    return MakeUnexpected("ref name out of range: " + std::string(name_token));
+  }
+  if (ec != std::errc{} || ptr != end) {
+    return MakeUnexpected("bad ref name: " + std::string(name_token));
+  }
+  AccessKind kind{};
+  if (!ParseKind(kind_token, &kind)) {
+    return MakeUnexpected("bad access kind: " + std::string(kind_token));
+  }
+  if (const std::string_view extra = NextToken(&rest); !extra.empty()) {
+    return MakeUnexpected("trailing token after ref: " + std::string(extra));
+  }
+  return Reference{Name{name}, kind};
+}
+
 }  // namespace
 
 void WriteReferenceTrace(const ReferenceTrace& trace, std::ostream* out) {
@@ -64,27 +108,24 @@ Expected<ReferenceTrace, TraceParseError> ReadReferenceTrace(std::istream* in) {
   std::size_t line_no = 0;
   while (std::getline(*in, line)) {
     ++line_no;
-    if (!MeaningfulLine(&line)) {
+    std::string_view rest(line);
+    rest = rest.substr(0, rest.find('#'));
+    const std::string_view verb = NextToken(&rest);
+    if (verb.empty()) {
       continue;
     }
-    std::istringstream fields(line);
-    std::string verb;
-    fields >> verb;
     if (verb == "label") {
-      fields >> trace.label;
+      if (const std::string_view label = NextToken(&rest); !label.empty()) {
+        trace.label = label;
+      }
     } else if (verb == "ref") {
-      std::uint64_t name = 0;
-      std::string kind_token;
-      if (!(fields >> name >> kind_token)) {
-        return MakeUnexpected(TraceParseError{line_no, "expected: ref <name> <r|w|x>"});
+      auto ref = ParseRefFields(rest);
+      if (!ref.has_value()) {
+        return MakeUnexpected(TraceParseError{line_no, std::move(ref.error())});
       }
-      AccessKind kind{};
-      if (!ParseKind(kind_token, &kind)) {
-        return MakeUnexpected(TraceParseError{line_no, "bad access kind: " + kind_token});
-      }
-      trace.refs.push_back({Name{name}, kind});
+      trace.refs.push_back(ref.value());
     } else {
-      return MakeUnexpected(TraceParseError{line_no, "unknown record: " + verb});
+      return MakeUnexpected(TraceParseError{line_no, "unknown record: " + std::string(verb)});
     }
   }
   return trace;

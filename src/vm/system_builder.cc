@@ -1,5 +1,6 @@
 #include "src/vm/system_builder.h"
 
+#include "src/alloc/placement.h"
 #include "src/core/assert.h"
 #include "src/vm/paged_segmented_vm.h"
 #include "src/vm/paged_vm.h"
@@ -27,6 +28,11 @@ SegmentReplacementKind SegmentReplacementFor(ReplacementStrategyKind kind) {
 bool SpecIsBuildable(const SystemSpec& spec) {
   const Characteristics& c = spec.characteristics;
   if (c.name_space == NameSpaceKind::kLinear && c.unit == AllocationUnit::kVariableBlocks) {
+    return false;
+  }
+  if (c.unit == AllocationUnit::kVariableBlocks && !IsPlacementPolicyKind(spec.placement)) {
+    // The segmented family places segments with a PlacementPolicy over one
+    // free list; the whole-allocator designs have no such policy.
     return false;
   }
   if (c.name_space == NameSpaceKind::kSymbolicallySegmented &&
@@ -70,7 +76,8 @@ PagedVmConfig PagedConfigFromSpec(const SystemSpec& spec) {
 
 std::unique_ptr<StorageAllocationSystem> BuildSystem(const SystemSpec& spec) {
   DSA_ASSERT(SpecIsBuildable(spec),
-             "a linear name space with variable allocation units has no relocation handle; "
+             "a linear name space with variable allocation units has no relocation handle, "
+             "and segments are placed only by a placement policy; "
              "pick another point of the design space");
   DSA_ASSERT(spec.page_words > 0, "page_words must be positive");
   DSA_ASSERT(spec.core_words >= spec.page_words,

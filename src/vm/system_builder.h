@@ -62,6 +62,9 @@ struct SystemSpec {
 //   * linear + variable blocks is rejected: with no mapping device and no
 //     segments, variable-unit allocation has nothing to relocate by — the
 //     combination the paper notes was never usefully built.
+//   * variable blocks with a whole-allocator placement (buddy, rice-chain,
+//     segregated-fit, slab-pool) is rejected: SegmentedVm places segments
+//     with a PlacementPolicy, which those designs are not.
 std::unique_ptr<StorageAllocationSystem> BuildSystem(const SystemSpec& spec);
 
 // True if Build() accepts this point of the design space.

@@ -11,11 +11,13 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "src/core/rng.h"
 #include "src/core/snapshot.h"
+#include "src/map/page_table.h"
 #include "src/obs/metrics.h"
 #include "src/obs/vm_metrics.h"
 #include "src/sched/load_control.h"
@@ -605,6 +607,222 @@ TEST(SectionedSnapshotTest, PagedVmSectionedSaveMatchesChainRestore) {
   restored.SaveSections(&rhs);
   EXPECT_EQ(lhs.SealFull(), rhs.SealFull());
   EXPECT_EQ(StepAll(&vm, trace, second), StepAll(&restored, trace, second));
+}
+
+// --- The section-hash cache.  A stale cached hash that still matches the
+// baseline would seal a ref to an old body, and the chain would restore old
+// state silently (the ref hash-matches its base).  These tests pin that the
+// cache can only ever describe the body it sits beside.
+
+// Names of the sections a sealed sectioned snapshot carries inline.
+std::set<std::string> InlineSections(const std::string& sealed) {
+  SnapshotReader r(sealed);
+  r.U8();  // kind
+  const std::uint64_t count = r.Count(1u << 20);
+  std::set<std::string> names;
+  for (std::uint64_t i = 0; i < count && r.ok(); ++i) {
+    std::string name = r.Str();
+    if (r.U8() == 0) {
+      r.Str();  // inline body
+      names.insert(std::move(name));
+    } else {
+      r.U64();  // ref hash
+    }
+  }
+  EXPECT_TRUE(r.ok() && r.AtEnd()) << r.error().Describe();
+  return names;
+}
+
+TEST(SectionHashCacheTest, PrecomputedHashesSealIdenticallyToPlainBodies) {
+  const std::vector<std::pair<std::string, std::string>> bodies = {
+      {"a", "alpha"}, {"b", std::string(5000, 'b')}, {"c", ""}, {"d", "delta"}};
+  auto fill = [&](SectionedSnapshotWriter* w, bool precomputed, const std::string& d_body) {
+    for (const auto& [name, body] : bodies) {
+      const std::string& b = name == "d" ? d_body : body;
+      if (precomputed) {
+        w->Section(name, std::make_shared<const std::string>(b), Fnv64(b));
+      } else {
+        w->Section(name, b);
+      }
+    }
+    w->Begin("streamed")->U64(42);
+  };
+  SectionedSnapshotWriter base;
+  fill(&base, false, "delta");
+  const SectionBaseline baseline = base.Digest();
+
+  SectionedSnapshotWriter plain;
+  SectionedSnapshotWriter cached;
+  fill(&plain, false, "changed");
+  fill(&cached, true, "changed");
+  EXPECT_EQ(plain.Digest().hashes, cached.Digest().hashes);
+  EXPECT_EQ(plain.SealFull(), cached.SealFull());
+  const std::string delta = cached.SealDelta(baseline);
+  EXPECT_EQ(plain.SealDelta(baseline), delta);
+  EXPECT_EQ(InlineSections(delta), (std::set<std::string>{"d"}));
+  // Sealing does not consume the writer: a second delta is the same bytes.
+  EXPECT_EQ(cached.SealDelta(baseline), delta);
+}
+
+constexpr WordCount kMapPageWords = 64;
+constexpr std::size_t kMapPages = 4 * PageTable::kChunkEntries;
+
+PageId PageInChunk(std::size_t chunk, std::size_t slot) {
+  return PageId{chunk * PageTable::kChunkEntries + slot};
+}
+
+std::set<std::string> ChunkNames(std::initializer_list<std::size_t> chunks) {
+  std::set<std::string> names;
+  for (const std::size_t k : chunks) {
+    names.insert("map.pt." + std::to_string(k));
+  }
+  return names;
+}
+
+// One cut of a mapper: its full seal and the baseline for the next delta.
+struct MapperCut {
+  std::string full;
+  SectionBaseline digest;
+};
+
+MapperCut CutMapper(const PageTableMapper& m) {
+  SectionedSnapshotWriter w;
+  m.SaveSections(&w);
+  MapperCut cut;
+  cut.digest = w.Digest();
+  cut.full = w.SealFull();
+  return cut;
+}
+
+// Seals `m` as a delta over `base` and returns the page-table chunks it
+// inlines; also checks that the [full, delta] chain restores a mapper that
+// re-seals byte-identically to `m`.
+std::set<std::string> DeltaChunks(const PageTableMapper& m, const MapperCut& base) {
+  SectionedSnapshotWriter w;
+  m.SaveSections(&w);
+  const std::string delta = w.SealDelta(base.digest);
+  std::set<std::string> chunks;
+  for (const std::string& name : InlineSections(delta)) {
+    if (name.starts_with("map.pt.")) {
+      chunks.insert(name);
+    }
+  }
+  auto resolved = ResolveSectionChain({base.full, delta});
+  EXPECT_TRUE(resolved.has_value()) << resolved.error().Describe();
+  if (resolved.has_value()) {
+    PageTableMapper restored(kMapPageWords, kMapPages, 0);
+    restored.LoadSections(&resolved.value());
+    resolved.value().FailIfUnopened();
+    EXPECT_TRUE(resolved.value().ok()) << resolved.value().error().Describe();
+    EXPECT_EQ(CutMapper(restored).full, CutMapper(m).full);
+  }
+  return chunks;
+}
+
+TEST(SectionHashCacheTest, DeltaInlinesExactlyTheChunksMapAndUnmapChanged) {
+  PageTableMapper m(kMapPageWords, kMapPages, 0);
+  const MapperCut empty = CutMapper(m);
+
+  m.Map(PageInChunk(2, 5), FrameId{3});
+  EXPECT_EQ(DeltaChunks(m, empty), ChunkNames({2}));
+  const MapperCut one = CutMapper(m);
+
+  // Bytes that change and change back are not a change; a new mapping is.
+  m.Map(PageInChunk(1, 7), FrameId{9});
+  m.Unmap(PageInChunk(1, 7));
+  m.Map(PageInChunk(3, 0), FrameId{4});
+  EXPECT_EQ(DeltaChunks(m, one), ChunkNames({3}));
+  EXPECT_EQ(DeltaChunks(m, empty), ChunkNames({2, 3}));
+  const MapperCut two = CutMapper(m);
+
+  m.Unmap(PageInChunk(2, 5));
+  EXPECT_EQ(DeltaChunks(m, two), ChunkNames({2}));
+  EXPECT_EQ(DeltaChunks(m, one), ChunkNames({2, 3}));
+  EXPECT_EQ(DeltaChunks(m, empty), ChunkNames({3}));
+}
+
+TEST(SectionHashCacheTest, DeltaAfterLoadChunkInlinesExactlyTheReloadedChanges) {
+  // `warm` caches every chunk body and hash, then has its table replaced
+  // under it by a chain restore; the cache must not survive the reload.
+  PageTableMapper warm(kMapPageWords, kMapPages, 0);
+  warm.Map(PageInChunk(0, 1), FrameId{1});
+  warm.Map(PageInChunk(1, 1), FrameId{2});
+  const MapperCut before = CutMapper(warm);
+
+  PageTableMapper other(kMapPageWords, kMapPages, 0);
+  other.Map(PageInChunk(0, 1), FrameId{1});  // same as warm
+  other.Map(PageInChunk(1, 1), FrameId{7});  // differs from warm
+  other.Map(PageInChunk(3, 9), FrameId{8});  // absent from warm
+  auto resolved = ResolveSectionChain({CutMapper(other).full});
+  ASSERT_TRUE(resolved.has_value()) << resolved.error().Describe();
+  warm.LoadSections(&resolved.value());
+  ASSERT_TRUE(resolved.value().ok()) << resolved.value().error().Describe();
+
+  EXPECT_EQ(DeltaChunks(warm, before), ChunkNames({1, 3}));
+  EXPECT_EQ(CutMapper(warm).full, CutMapper(other).full);
+}
+
+TEST(SectionHashCacheTest, DeltaAfterFlatLoadStateInlinesExactlyTheChangedChunks) {
+  PageTableMapper warm(kMapPageWords, kMapPages, 0);
+  warm.Map(PageInChunk(2, 4), FrameId{5});
+  const MapperCut before = CutMapper(warm);
+
+  PageTableMapper other(kMapPageWords, kMapPages, 0);
+  other.Map(PageInChunk(0, 0), FrameId{6});
+  SnapshotWriter flat;
+  other.SaveState(&flat);
+  const std::string sealed = flat.Seal();
+  SnapshotReader r(sealed);
+  warm.LoadState(&r);
+  ASSERT_TRUE(r.ok() && r.AtEnd()) << r.error().Describe();
+
+  EXPECT_EQ(DeltaChunks(warm, before), ChunkNames({0, 2}));
+  EXPECT_EQ(CutMapper(warm).full, CutMapper(other).full);
+}
+
+TEST(SectionHashCacheTest, WarmVmRestoredFromChainResealsIdentically) {
+  // The restore target has sealed its own, older state first, so every
+  // chunk cache it holds is warm and wrong for the state it is about to
+  // load.  The [full, delta] chain must still restore the source VM exactly.
+  const SystemSpec spec = ServeSpec(ReplacementStrategyKind::kLru);
+  const ReferenceTrace trace = VmTrace();
+  const std::size_t cut = trace.refs.size() / 3;
+  PagedLinearVm vm(PagedConfigFromSpec(spec));
+  PagedLinearVm restored(PagedConfigFromSpec(spec));
+  for (std::size_t i = 0; i < cut; ++i) {
+    vm.Step(trace.refs[i]);
+  }
+  for (std::size_t i = 0; i < cut / 2; ++i) {
+    restored.Step(trace.refs[i]);
+  }
+  SectionedSnapshotWriter warm_up;
+  restored.SaveSections(&warm_up);
+  warm_up.SealFull();
+
+  SectionedSnapshotWriter full_w;
+  vm.SaveSections(&full_w);
+  const SectionBaseline baseline = full_w.Digest();
+  const std::string full = full_w.SealFull();
+  for (std::size_t i = cut; i < 2 * cut; ++i) {
+    vm.Step(trace.refs[i]);
+  }
+  SectionedSnapshotWriter delta_w;
+  vm.SaveSections(&delta_w);
+  const std::string delta = delta_w.SealDelta(baseline);
+
+  auto resolved = ResolveSectionChain({full, delta});
+  ASSERT_TRUE(resolved.has_value()) << resolved.error().Describe();
+  restored.LoadSections(&resolved.value());
+  resolved.value().FailIfUnopened();
+  ASSERT_TRUE(resolved.value().ok()) << resolved.value().error().Describe();
+
+  SectionedSnapshotWriter lhs;
+  vm.SaveSections(&lhs);
+  SectionedSnapshotWriter rhs;
+  restored.SaveSections(&rhs);
+  EXPECT_EQ(lhs.SealFull(), rhs.SealFull());
+  EXPECT_EQ(lhs.SealDelta(baseline), rhs.SealDelta(baseline));
+  EXPECT_EQ(StepAll(&vm, trace, 2 * cut), StepAll(&restored, trace, 2 * cut));
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 #include <unordered_set>
 
 #include "src/trace/allocation.h"
@@ -330,6 +331,57 @@ TEST(TraceIoTest, UnknownVerbIsAnError) {
   const auto parsed = ReadReferenceTrace(&in);
   ASSERT_FALSE(parsed.has_value());
   EXPECT_EQ(parsed.error().line, 2u);
+}
+
+// Strict ref lines: each malformed line is rejected with its line number
+// instead of being read as some other reference.
+void ExpectRefLineRejected(const std::string& bad_line, const std::string& message) {
+  std::stringstream in("label t\nref 1 r\n" + bad_line + "\nref 2 w\n");
+  const auto parsed = ReadReferenceTrace(&in);
+  ASSERT_FALSE(parsed.has_value()) << bad_line;
+  EXPECT_EQ(parsed.error().line, 3u) << bad_line;
+  EXPECT_NE(parsed.error().message.find(message), std::string::npos)
+      << bad_line << " -> " << parsed.error().message;
+}
+
+TEST(TraceIoTest, NegativeRefNameRejected) {
+  ExpectRefLineRejected("ref -1 r", "bad ref name: -1");
+  ExpectRefLineRejected("ref +1 r", "bad ref name: +1");
+}
+
+TEST(TraceIoTest, TrailingTokenAfterRefRejected) {
+  ExpectRefLineRejected("ref 1 r junk", "trailing token after ref: junk");
+}
+
+TEST(TraceIoTest, OverflowingRefNameRejected) {
+  ExpectRefLineRejected("ref 18446744073709551616 r", "ref name out of range");
+}
+
+TEST(TraceIoTest, MalformedRefFieldsRejected) {
+  ExpectRefLineRejected("ref 12x r", "bad ref name: 12x");
+  ExpectRefLineRejected("ref 1", "expected: ref <name> <r|w|x>");
+  ExpectRefLineRejected("ref", "expected: ref <name> <r|w|x>");
+}
+
+TEST(TraceIoTest, RefEdgesAndCommentsRoundTrip) {
+  ReferenceTrace original;
+  original.label = "edges";
+  original.refs = {{Name{0}, AccessKind::kExecute},
+                   {Name{18446744073709551615ULL}, AccessKind::kWrite}};
+  std::stringstream buffer;
+  WriteReferenceTrace(original, &buffer);
+  const auto parsed = ReadReferenceTrace(&buffer);
+  ASSERT_TRUE(parsed.has_value()) << parsed.error().message;
+  EXPECT_EQ(parsed->label, original.label);
+  EXPECT_EQ(parsed->refs, original.refs);
+
+  // A trailing comment, tabs and a CRLF line end are not tokens.
+  std::stringstream in("ref\t7 r  # seven\r\nref 8 w\r\n");
+  const auto loose = ReadReferenceTrace(&in);
+  ASSERT_TRUE(loose.has_value()) << loose.error().message;
+  ASSERT_EQ(loose->refs.size(), 2u);
+  EXPECT_EQ(loose->refs[0].name, Name{7});
+  EXPECT_EQ(loose->refs[1].kind, AccessKind::kWrite);
 }
 
 TEST(TraceIoTest, AllocWithZeroSizeRejected) {

@@ -302,6 +302,37 @@ TEST(SystemBuilderTest, LinearVariableIsUnbuildable) {
   EXPECT_DEATH(BuildSystem(spec), "design space");
 }
 
+TEST(SystemBuilderTest, SegmentedWholeAllocatorPlacementIsUnbuildable) {
+  // The segmented family places segments with a PlacementPolicy; a
+  // whole-allocator design is rejected up front instead of aborting inside
+  // SegmentManager.
+  for (const NameSpaceKind ns :
+       {NameSpaceKind::kLinearlySegmented, NameSpaceKind::kSymbolicallySegmented}) {
+    SystemSpec spec;
+    spec.characteristics.name_space = ns;
+    spec.characteristics.unit = AllocationUnit::kVariableBlocks;
+    for (const PlacementStrategyKind kind :
+         {PlacementStrategyKind::kSegregatedFit, PlacementStrategyKind::kBuddy,
+          PlacementStrategyKind::kRiceChain, PlacementStrategyKind::kSlabPool}) {
+      spec.placement = kind;
+      EXPECT_FALSE(SpecIsBuildable(spec)) << ToString(kind);
+    }
+    spec.placement = PlacementStrategyKind::kBuddy;
+    EXPECT_DEATH(BuildSystem(spec), "design space");
+    for (const PlacementStrategyKind kind :
+         {PlacementStrategyKind::kFirstFit, PlacementStrategyKind::kNextFit,
+          PlacementStrategyKind::kBestFit, PlacementStrategyKind::kWorstFit,
+          PlacementStrategyKind::kTwoEnded}) {
+      spec.placement = kind;
+      EXPECT_TRUE(SpecIsBuildable(spec)) << ToString(kind);
+    }
+  }
+  // Paged families never consult the placement strategy.
+  SystemSpec paged;
+  paged.placement = PlacementStrategyKind::kSlabPool;
+  EXPECT_TRUE(SpecIsBuildable(paged));
+}
+
 TEST(SystemBuilderTest, PredictiveAxisControlsAdvice) {
   SystemSpec spec;
   spec.characteristics.predictive = PredictiveInformation::kAccepted;

@@ -23,12 +23,14 @@ Cycles BackingStore::Store(SlotId slot, std::vector<Word> data) {
 Cycles BackingStore::Fetch(SlotId slot, WordCount words, std::vector<Word>* out) const {
   DSA_ASSERT(!IsBad(slot), "fetching from a retired slot");
   const Cycles cost = level_.TransferTime(words);
-  auto it = slots_.find(slot);
-  if (it == slots_.end()) {
-    out->assign(words, Word{0});
-  } else {
-    *out = it->second;
-    out->resize(words, Word{0});
+  if (out != nullptr) {
+    auto it = slots_.find(slot);
+    if (it == slots_.end()) {
+      out->assign(words, Word{0});
+    } else {
+      *out = it->second;
+      out->resize(words, Word{0});
+    }
   }
   ++fetches_;
   busy_cycles_ += cost;

@@ -44,7 +44,8 @@ class BackingStore {
   Cycles Store(SlotId slot, std::vector<Word> data);
 
   // Reads `words` words of `slot` into `out` (zero-filled when absent),
-  // charging transfer time.
+  // charging transfer time.  A null `out` charges the same time and
+  // counters and copies nothing, for callers that model only the transfer.
   Cycles Fetch(SlotId slot, WordCount words, std::vector<Word>* out) const;
 
   // Drops a slot without a transfer (a destroyed segment's backing copy).

@@ -256,7 +256,6 @@ Expected<Cycles, PageAccessError> HierarchyPager::Access(PageId page, AccessKind
   const int max_retries = injector_ != nullptr ? injector_->max_retries() : 0;
   if (store != nullptr) {
     const BackingStore::SlotId slot = SlotFor(page);
-    std::vector<Word> data;
     for (int attempt = 0;; ++attempt) {
       DSA_TRACE_EMIT(tracer_, EventKind::kTransferStart, page.value, level_index,
                      /*direction=*/0);
@@ -266,7 +265,8 @@ Expected<Cycles, PageAccessError> HierarchyPager::Access(PageId page, AccessKind
       if (attempt > 0) {
         rel.retry_cycles += attempt_wait;
       }
-      store->Fetch(slot, config_.page_words, &data);
+      // Nothing reads the fetched words: charge the transfer without copying.
+      store->Fetch(slot, config_.page_words, nullptr);
       DSA_TRACE_EMIT(tracer_, EventKind::kTransferComplete, page.value, level_index,
                      attempt_wait);
       const TransferFaultKind fault = injector_ != nullptr

@@ -218,15 +218,15 @@ Cycles Pager::ChargeFetchTransfer(PageId page, Cycles at) {
     DSA_TRACE_EMIT(tracer_, EventKind::kTransferComplete, page.value, kBackingLevel, wait);
     return wait;
   }
-  std::vector<Word> data;
+  // Nothing reads the fetched words: charge the transfer without copying.
   if (channel_ != nullptr) {
     const TransferChannel::Completion done =
         channel_->Schedule(backing_->level(), config_.page_words, at);
     wait = done.finish - at;
     // Account the device time once; Fetch() tracks device-side counters.
-    stats_.transfer_cycles += backing_->Fetch(slot, config_.page_words, &data);
+    stats_.transfer_cycles += backing_->Fetch(slot, config_.page_words, nullptr);
   } else {
-    wait = backing_->Fetch(slot, config_.page_words, &data);
+    wait = backing_->Fetch(slot, config_.page_words, nullptr);
     stats_.transfer_cycles += wait;
   }
   DSA_TRACE_EMIT(tracer_, EventKind::kTransferComplete, page.value, kBackingLevel, wait);

@@ -45,6 +45,7 @@ SegmentId SegmentManager::Create(WordCount extent) {
 void SegmentManager::Destroy(SegmentId segment) {
   SegmentInfo& info = InfoFor(segment);
   if (info.present) {
+    resident_.erase(segment.value);
     resident_by_base_.erase(info.base.value);
     allocator_.Free(info.base);
   }
@@ -59,62 +60,66 @@ bool SegmentManager::IsResident(SegmentId segment) const { return InfoFor(segmen
 WordCount SegmentManager::ExtentOf(SegmentId segment) const { return InfoFor(segment).extent; }
 
 std::optional<SegmentId> SegmentManager::ChooseVictim(SegmentId requester) {
-  std::vector<SegmentId> candidates;
-  for (const auto& [id, info] : segments_) {
-    if (info.present && !info.pinned && id != requester.value) {
-      candidates.push_back(SegmentId{id});
-    }
-  }
-  if (candidates.empty()) {
-    return std::nullopt;
-  }
-  std::sort(candidates.begin(), candidates.end());
-
+  const auto eligible = [requester](const auto& entry) {
+    return !entry.second->pinned && entry.first != requester.value;
+  };
   switch (config_.replacement) {
     case SegmentReplacementKind::kCyclic: {
-      // Sweep segment ids cyclically from the cursor.
-      for (SegmentId c : candidates) {
-        if (c.value >= cyclic_cursor_) {
-          cyclic_cursor_ = c.value + 1;
-          return c;
+      // Sweep segment ids cyclically from the cursor, wrapping once.
+      const auto from = resident_.lower_bound(cyclic_cursor_);
+      auto it = std::find_if(from, resident_.end(), eligible);
+      if (it == resident_.end()) {
+        it = std::find_if(resident_.begin(), from, eligible);
+        if (it == from) {
+          return std::nullopt;
         }
       }
-      cyclic_cursor_ = candidates.front().value + 1;
-      return candidates.front();
+      cyclic_cursor_ = it->first + 1;
+      return SegmentId{it->first};
     }
     case SegmentReplacementKind::kLru: {
-      SegmentId victim = candidates.front();
-      for (SegmentId c : candidates) {
-        if (InfoFor(c).last_use < InfoFor(victim).last_use) {
-          victim = c;
+      // Strict `<` in id order: the lowest id wins among equal last uses.
+      auto victim = resident_.end();
+      for (auto it = resident_.begin(); it != resident_.end(); ++it) {
+        if (eligible(*it) &&
+            (victim == resident_.end() || it->second->last_use < victim->second->last_use)) {
+          victim = it;
         }
       }
-      return victim;
+      if (victim == resident_.end()) {
+        return std::nullopt;
+      }
+      return SegmentId{victim->first};
     }
     case SegmentReplacementKind::kRiceSecondChance: {
       // "Takes into account whether a copy of a segment exists in backing
       // storage and whether or not a segment has been used since it was last
       // considered for replacement."  Preference order: clean+unused,
       // unused, clean, anything — clearing use sensors as they are passed.
+      // The second pass returns the first eligible segment, so falling out
+      // of both passes means there is none.
       for (int pass = 0; pass < 2; ++pass) {
-        for (SegmentId c : candidates) {
-          SegmentInfo& info = InfoFor(c);
+        for (const auto& entry : resident_) {
+          if (!eligible(entry)) {
+            continue;
+          }
+          SegmentInfo& info = *entry.second;
           if (info.use) {
             info.use = false;  // second chance
             continue;
           }
           if (info.has_backing_copy && !info.modified) {
-            return c;  // free to discard
+            return SegmentId{entry.first};  // free to discard
           }
           if (pass == 1) {
-            return c;  // unused but needs a write-back
+            return SegmentId{entry.first};  // unused but needs a write-back
           }
         }
       }
-      return candidates.front();
+      return std::nullopt;
     }
   }
-  return candidates.front();
+  return std::nullopt;
 }
 
 void SegmentManager::Evict(SegmentId victim, Cycles now) {
@@ -134,6 +139,7 @@ void SegmentManager::Evict(SegmentId victim, Cycles now) {
     info.has_backing_copy = true;
     info.modified = false;
   }
+  resident_.erase(victim.value);
   resident_by_base_.erase(info.base.value);
   allocator_.Free(info.base);
   info.present = false;
@@ -182,19 +188,20 @@ Cycles SegmentManager::FetchInto(SegmentId segment, Block block, Cycles now) {
   SegmentInfo& info = InfoFor(segment);
   DSA_TRACE_EMIT(tracer_, EventKind::kTransferStart, segment.value, /*level=*/0,
                  /*direction=*/0);
-  std::vector<Word> data;
+  // Nothing reads the fetched words: charge the transfer without copying.
   Cycles wait = 0;
   if (channel_ != nullptr) {
     const TransferChannel::Completion done =
         channel_->Schedule(backing_->level(), info.extent, now);
     wait = done.finish - now;
-    backing_->Fetch(segment.value, info.extent, &data);
+    backing_->Fetch(segment.value, info.extent, nullptr);
   } else {
-    wait = backing_->Fetch(segment.value, info.extent, &data);
+    wait = backing_->Fetch(segment.value, info.extent, nullptr);
   }
   DSA_TRACE_EMIT(tracer_, EventKind::kTransferComplete, segment.value, /*level=*/0, wait);
   info.present = true;
   info.base = block.addr;
+  resident_.emplace(segment.value, &info);
   resident_by_base_.emplace(block.addr.value, segment);
   return wait;
 }
@@ -279,7 +286,7 @@ Expected<SegmentAccessOutcome, Fault> SegmentManager::Resize(SegmentId segment, 
   }
   // Growing a resident segment: obtain a new block, logically move the
   // contents, release the old one.
-  const Block old_block{info.base, info.extent};
+  const WordCount old_extent = info.extent;
   const std::optional<Block> grown = MakeRoom(extent, now, segment);
   if (!grown.has_value()) {
     Fault fault;
@@ -287,14 +294,15 @@ Expected<SegmentAccessOutcome, Fault> SegmentManager::Resize(SegmentId segment, 
     fault.segment = segment;
     return MakeUnexpected(fault);
   }
-  resident_by_base_.erase(old_block.addr.value);
-  allocator_.Free(old_block.addr);
+  // Read the old base only now: compacting inside MakeRoom may have moved it.
+  resident_by_base_.erase(info.base.value);
+  allocator_.Free(info.base);
   resident_by_base_.emplace(grown->addr.value, segment);
   info.base = grown->addr;
   info.extent = extent;
   info.modified = true;
   outcome.address = grown->addr;
-  outcome.wait_cycles = config_.packing.MoveCost(old_block.size);
+  outcome.wait_cycles = config_.packing.MoveCost(old_extent);
   stats_.wait_cycles += outcome.wait_cycles;
   return outcome;
 }

@@ -10,6 +10,7 @@
 #define SRC_SEG_SEGMENT_MANAGER_H_
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
@@ -137,7 +138,9 @@ class SegmentManager {
   // Returns the block, or nullopt if even evicting everything cannot help.
   std::optional<Block> MakeRoom(WordCount size, Cycles now, SegmentId requester);
 
-  // Picks a resident, unpinned victim != requester; nullopt if none.
+  // Picks a resident, unpinned victim != requester; nullopt if none.  Walks
+  // only `resident_`: O(log r) for the cyclic sweep, O(r) for LRU and Rice,
+  // where r is the number of resident segments.
   std::optional<SegmentId> ChooseVictim(SegmentId requester);
 
   // Evicts `victim`, writing back if modified; returns channel-side cost.
@@ -155,6 +158,10 @@ class SegmentManager {
   VariableAllocator allocator_;
   CompactionEngine compactor_;
   std::unordered_map<std::uint64_t, SegmentInfo> segments_;
+  // The present segments in id order, pointing into `segments_` (whose nodes
+  // never move).  Changed only where residency changes: FetchInto inserts,
+  // Evict and Destroy erase.
+  std::map<std::uint64_t, SegmentInfo*> resident_;
   std::unordered_map<std::uint64_t, SegmentId> resident_by_base_;
   std::uint64_t next_segment_id_{0};
   std::uint64_t cyclic_cursor_{0};

@@ -3,9 +3,10 @@
 #include <charconv>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <string>
 #include <string_view>
+
+#include "src/core/assert.h"
 
 namespace dsa {
 
@@ -36,20 +37,6 @@ bool ParseKind(std::string_view token, AccessKind* kind) {
   return true;
 }
 
-// Strips comments and leading whitespace; returns false for blank lines.
-bool MeaningfulLine(std::string* line) {
-  const auto hash = line->find('#');
-  if (hash != std::string::npos) {
-    line->erase(hash);
-  }
-  const auto first = line->find_first_not_of(" \t\r");
-  if (first == std::string::npos) {
-    return false;
-  }
-  line->erase(0, first);
-  return true;
-}
-
 // Pops the next blank-delimited token off the front of `rest`; empty once
 // none remain.  The blanks are the ones `istream >>` skips.
 std::string_view NextToken(std::string_view* rest) {
@@ -65,6 +52,41 @@ std::string_view NextToken(std::string_view* rest) {
   return token;
 }
 
+// Parses one decimal field: no sign, no trailing characters, no overflow.
+// `what` names the field in the error message.
+Expected<std::uint64_t, std::string> ParseDecimal(std::string_view token, std::string_view what) {
+  std::uint64_t value = 0;
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (ec == std::errc::result_out_of_range) {
+    return MakeUnexpected(std::string(what) + " out of range: " + std::string(token));
+  }
+  if (ec != std::errc{} || ptr != end) {
+    return MakeUnexpected("bad " + std::string(what) + ": " + std::string(token));
+  }
+  return value;
+}
+
+// Fails if `rest` still holds a token after the fields of a `verb` line.
+Status<std::string> ExpectLineEnd(std::string_view rest, std::string_view verb) {
+  if (const std::string_view extra = NextToken(&rest); !extra.empty()) {
+    return MakeUnexpected("trailing token after " + std::string(verb) + ": " + std::string(extra));
+  }
+  return Ok();
+}
+
+// Parses the fields of a `label` line after the verb: exactly one token.
+Expected<std::string, std::string> ParseLabelFields(std::string_view rest) {
+  const std::string_view label = NextToken(&rest);
+  if (label.empty()) {
+    return MakeUnexpected(std::string("expected: label <one token>"));
+  }
+  if (auto end = ExpectLineEnd(rest, "label"); !end.has_value()) {
+    return MakeUnexpected(std::move(end.error()));
+  }
+  return std::string(label);
+}
+
 // Parses the fields of a `ref` line after the verb: exactly a decimal name
 // and an access kind.  Signs, overflow and trailing tokens are errors.
 Expected<Reference, std::string> ParseRefFields(std::string_view rest) {
@@ -73,30 +95,78 @@ Expected<Reference, std::string> ParseRefFields(std::string_view rest) {
   if (kind_token.empty()) {
     return MakeUnexpected(std::string("expected: ref <name> <r|w|x>"));
   }
-  std::uint64_t name = 0;
-  const char* end = name_token.data() + name_token.size();
-  const auto [ptr, ec] = std::from_chars(name_token.data(), end, name);
-  if (ec == std::errc::result_out_of_range) {
-    return MakeUnexpected("ref name out of range: " + std::string(name_token));
-  }
-  if (ec != std::errc{} || ptr != end) {
-    return MakeUnexpected("bad ref name: " + std::string(name_token));
+  auto name = ParseDecimal(name_token, "ref name");
+  if (!name.has_value()) {
+    return MakeUnexpected(std::move(name.error()));
   }
   AccessKind kind{};
   if (!ParseKind(kind_token, &kind)) {
     return MakeUnexpected("bad access kind: " + std::string(kind_token));
   }
-  if (const std::string_view extra = NextToken(&rest); !extra.empty()) {
-    return MakeUnexpected("trailing token after ref: " + std::string(extra));
+  if (auto end = ExpectLineEnd(rest, "ref"); !end.has_value()) {
+    return MakeUnexpected(std::move(end.error()));
   }
-  return Reference{Name{name}, kind};
+  return Reference{Name{name.value()}, kind};
+}
+
+// Parses the fields of an `alloc` line after the verb: exactly a decimal
+// request id and a positive decimal size.
+Expected<AllocOp, std::string> ParseAllocFields(std::string_view rest) {
+  const std::string_view request_token = NextToken(&rest);
+  const std::string_view size_token = NextToken(&rest);
+  if (size_token.empty()) {
+    return MakeUnexpected(std::string("expected: alloc <request> <size>"));
+  }
+  auto request = ParseDecimal(request_token, "alloc request");
+  if (!request.has_value()) {
+    return MakeUnexpected(std::move(request.error()));
+  }
+  auto size = ParseDecimal(size_token, "alloc size");
+  if (!size.has_value()) {
+    return MakeUnexpected(std::move(size.error()));
+  }
+  if (size.value() == 0) {
+    return MakeUnexpected(std::string("alloc size must be positive"));
+  }
+  if (auto end = ExpectLineEnd(rest, "alloc"); !end.has_value()) {
+    return MakeUnexpected(std::move(end.error()));
+  }
+  return AllocOp{AllocOpKind::kAllocate, request.value(), size.value()};
+}
+
+// Parses the fields of a `free` line after the verb: exactly a decimal
+// request id.
+Expected<AllocOp, std::string> ParseFreeFields(std::string_view rest) {
+  const std::string_view request_token = NextToken(&rest);
+  if (request_token.empty()) {
+    return MakeUnexpected(std::string("expected: free <request>"));
+  }
+  auto request = ParseDecimal(request_token, "free request");
+  if (!request.has_value()) {
+    return MakeUnexpected(std::move(request.error()));
+  }
+  if (auto end = ExpectLineEnd(rest, "free"); !end.has_value()) {
+    return MakeUnexpected(std::move(end.error()));
+  }
+  return AllocOp{AllocOpKind::kFree, request.value(), 0};
+}
+
+// Writes the `label` line the readers expect: one token, or no line at all
+// for an empty label (which reads back empty).
+void WriteLabelLine(const std::string& label, std::ostream* out) {
+  if (label.empty()) {
+    return;
+  }
+  DSA_ASSERT(label.find_first_of(" \t\r\v\f\n#") == std::string::npos,
+             "a trace label must be one token");
+  *out << "label " << label << "\n";
 }
 
 }  // namespace
 
 void WriteReferenceTrace(const ReferenceTrace& trace, std::ostream* out) {
   *out << "# reference trace: " << trace.label << "\n";
-  *out << "label " << trace.label << "\n";
+  WriteLabelLine(trace.label, out);
   for (const Reference& r : trace.refs) {
     *out << "ref " << r.name.value << ' ' << KindChar(r.kind) << "\n";
   }
@@ -115,9 +185,11 @@ Expected<ReferenceTrace, TraceParseError> ReadReferenceTrace(std::istream* in) {
       continue;
     }
     if (verb == "label") {
-      if (const std::string_view label = NextToken(&rest); !label.empty()) {
-        trace.label = label;
+      auto label = ParseLabelFields(rest);
+      if (!label.has_value()) {
+        return MakeUnexpected(TraceParseError{line_no, std::move(label.error())});
       }
+      trace.label = std::move(label.value());
     } else if (verb == "ref") {
       auto ref = ParseRefFields(rest);
       if (!ref.has_value()) {
@@ -133,7 +205,7 @@ Expected<ReferenceTrace, TraceParseError> ReadReferenceTrace(std::istream* in) {
 
 void WriteAllocationTrace(const AllocationTrace& trace, std::ostream* out) {
   *out << "# allocation trace: " << trace.label << "\n";
-  *out << "label " << trace.label << "\n";
+  WriteLabelLine(trace.label, out);
   for (const AllocOp& op : trace.ops) {
     if (op.kind == AllocOpKind::kAllocate) {
       *out << "alloc " << op.request << ' ' << op.size << "\n";
@@ -149,30 +221,28 @@ Expected<AllocationTrace, TraceParseError> ReadAllocationTrace(std::istream* in)
   std::size_t line_no = 0;
   while (std::getline(*in, line)) {
     ++line_no;
-    if (!MeaningfulLine(&line)) {
+    std::string_view rest(line);
+    rest = rest.substr(0, rest.find('#'));
+    const std::string_view verb = NextToken(&rest);
+    if (verb.empty()) {
       continue;
     }
-    std::istringstream fields(line);
-    std::string verb;
-    fields >> verb;
     if (verb == "label") {
-      fields >> trace.label;
-    } else if (verb == "alloc") {
-      std::uint64_t request = 0;
-      WordCount size = 0;
-      if (!(fields >> request >> size) || size == 0) {
-        return MakeUnexpected(TraceParseError{line_no, "expected: alloc <request> <size>=1..>"});
+      auto label = ParseLabelFields(rest);
+      if (!label.has_value()) {
+        return MakeUnexpected(TraceParseError{line_no, std::move(label.error())});
       }
-      trace.ops.push_back({AllocOpKind::kAllocate, request, size});
-    } else if (verb == "free") {
-      std::uint64_t request = 0;
-      if (!(fields >> request)) {
-        return MakeUnexpected(TraceParseError{line_no, "expected: free <request>"});
-      }
-      trace.ops.push_back({AllocOpKind::kFree, request, 0});
-    } else {
-      return MakeUnexpected(TraceParseError{line_no, "unknown record: " + verb});
+      trace.label = std::move(label.value());
+      continue;
     }
+    if (verb != "alloc" && verb != "free") {
+      return MakeUnexpected(TraceParseError{line_no, "unknown record: " + std::string(verb)});
+    }
+    auto op = verb == "alloc" ? ParseAllocFields(rest) : ParseFreeFields(rest);
+    if (!op.has_value()) {
+      return MakeUnexpected(TraceParseError{line_no, std::move(op.error())});
+    }
+    trace.ops.push_back(op.value());
   }
   return trace;
 }

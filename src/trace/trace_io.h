@@ -2,10 +2,17 @@
 // externally captured or hand-written workloads.
 //
 // Reference trace format (one record per line, '#' comments allowed):
+//   label <token>
 //   ref <name> <r|w|x>
 // Allocation trace format:
+//   label <token>
 //   alloc <request-id> <size>
 //   free <request-id>
+//
+// Parsing is strict: numbers are unsigned decimal u64 (no sign, no
+// overflow), sizes are positive, a label is exactly one token, and any
+// trailing token is a line-numbered TraceParseError.  The writers emit no
+// label line for an empty label and require a nonempty one to be one token.
 
 #ifndef SRC_TRACE_TRACE_IO_H_
 #define SRC_TRACE_TRACE_IO_H_

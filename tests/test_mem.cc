@@ -121,6 +121,31 @@ TEST(BackingStoreTest, FetchPadsShortSlots) {
   EXPECT_EQ(out, (std::vector<Word>{5, 0, 0}));
 }
 
+// A null `out` models the transfer only: same cycles, same counters, no copy.
+TEST(BackingStoreTest, NullOutFetchChargesLikeBufferedFetch) {
+  BackingStore store(MakeDrumLevel("drum", 4096, 4, 100));
+  store.Store(3, {11, 22, 33});
+  for (const BackingStore::SlotId slot : {BackingStore::SlotId{3}, BackingStore::SlotId{9}}) {
+    for (const WordCount words : {WordCount{3}, WordCount{16}}) {
+      std::vector<Word> out;
+      const std::uint64_t fetches0 = store.fetches();
+      const Cycles busy0 = store.busy_cycles();
+      const Cycles buffered = store.Fetch(slot, words, &out);
+      const std::uint64_t fetches1 = store.fetches();
+      const Cycles busy1 = store.busy_cycles();
+      const Cycles unbuffered = store.Fetch(slot, words, nullptr);
+      EXPECT_EQ(unbuffered, buffered) << "slot " << slot << " words " << words;
+      EXPECT_EQ(store.fetches() - fetches1, fetches1 - fetches0);
+      EXPECT_EQ(store.busy_cycles() - busy1, busy1 - busy0);
+    }
+  }
+  EXPECT_EQ(store.fetches(), 8u);
+  EXPECT_FALSE(store.Contains(9));
+  std::vector<Word> out;
+  store.Fetch(3, 3, &out);
+  EXPECT_EQ(out, (std::vector<Word>{11, 22, 33}));
+}
+
 TEST(BackingStoreTest, DiscardRemovesSlot) {
   BackingStore store(MakeDrumLevel("drum", 4096, 4, 100));
   store.Store(1, {5});
@@ -240,6 +265,7 @@ TEST(BackingStoreDeathTest, FetchFromBadSlotAborts) {
   store.MarkBad(5);
   std::vector<Word> out;
   EXPECT_DEATH(store.Fetch(5, 4, &out), "retired");
+  EXPECT_DEATH(store.Fetch(5, 4, nullptr), "retired");
 }
 
 // --- StorageHierarchy ----------------------------------------------------------------

@@ -390,5 +390,135 @@ TEST(TraceIoTest, AllocWithZeroSizeRejected) {
   ASSERT_FALSE(parsed.has_value());
 }
 
+// Strict alloc/free lines, as for ref lines above.
+void ExpectAllocLineRejected(const std::string& bad_line, const std::string& message) {
+  std::stringstream in("label t\nalloc 1 4\n" + bad_line + "\nfree 1\n");
+  const auto parsed = ReadAllocationTrace(&in);
+  ASSERT_FALSE(parsed.has_value()) << bad_line;
+  EXPECT_EQ(parsed.error().line, 3u) << bad_line;
+  EXPECT_NE(parsed.error().message.find(message), std::string::npos)
+      << bad_line << " -> " << parsed.error().message;
+}
+
+TEST(TraceIoTest, SignedAllocFieldsRejected) {
+  ExpectAllocLineRejected("alloc -1 4", "bad alloc request: -1");
+  ExpectAllocLineRejected("alloc 1 +4", "bad alloc size: +4");
+  ExpectAllocLineRejected("free -1", "bad free request: -1");
+}
+
+TEST(TraceIoTest, TrailingTokenAfterAllocOrFreeRejected) {
+  ExpectAllocLineRejected("alloc 1 4 junk", "trailing token after alloc: junk");
+  ExpectAllocLineRejected("free 1 junk", "trailing token after free: junk");
+}
+
+TEST(TraceIoTest, OverflowingAllocFieldsRejected) {
+  ExpectAllocLineRejected("alloc 1 18446744073709551616", "alloc size out of range");
+  ExpectAllocLineRejected("alloc 18446744073709551616 4", "alloc request out of range");
+  ExpectAllocLineRejected("free 18446744073709551616", "free request out of range");
+}
+
+TEST(TraceIoTest, MalformedAllocFieldsRejected) {
+  ExpectAllocLineRejected("alloc 1", "expected: alloc <request> <size>");
+  ExpectAllocLineRejected("alloc 1 0", "alloc size must be positive");
+  ExpectAllocLineRejected("alloc 1 4x", "bad alloc size: 4x");
+  ExpectAllocLineRejected("free", "expected: free <request>");
+}
+
+TEST(TraceIoTest, LabelTakesExactlyOneToken) {
+  ExpectAllocLineRejected("label a b", "trailing token after label: b");
+  ExpectAllocLineRejected("label", "expected: label <one token>");
+  ExpectRefLineRejected("label a b", "trailing token after label: b");
+  ExpectRefLineRejected("label  # only a comment", "expected: label <one token>");
+}
+
+TEST(TraceIoTest, AllocationEdgesAndEmptyLabelsRoundTrip) {
+  AllocationTrace original;
+  original.ops = {{AllocOpKind::kAllocate, 0, 1},
+                  {AllocOpKind::kAllocate, 18446744073709551615ULL, 18446744073709551615ULL},
+                  {AllocOpKind::kFree, 18446744073709551615ULL, 0},
+                  {AllocOpKind::kFree, 0, 0}};
+  std::stringstream buffer;
+  WriteAllocationTrace(original, &buffer);
+  const auto parsed = ReadAllocationTrace(&buffer);
+  ASSERT_TRUE(parsed.has_value()) << parsed.error().message;
+  EXPECT_EQ(parsed->label, "");
+  EXPECT_EQ(parsed->ops, original.ops);
+
+  ReferenceTrace refs;
+  refs.refs = {{Name{3}, AccessKind::kRead}};
+  std::stringstream ref_buffer;
+  WriteReferenceTrace(refs, &ref_buffer);
+  const auto ref_parsed = ReadReferenceTrace(&ref_buffer);
+  ASSERT_TRUE(ref_parsed.has_value()) << ref_parsed.error().message;
+  EXPECT_EQ(ref_parsed->label, "");
+  EXPECT_EQ(ref_parsed->refs, refs.refs);
+
+  // Comments, tabs and CRLF line ends are not tokens in allocation traces either.
+  std::stringstream in("label\tt # name\r\nalloc\t7 2  # seven\r\nfree 7\r\n");
+  const auto loose = ReadAllocationTrace(&in);
+  ASSERT_TRUE(loose.has_value()) << loose.error().message;
+  EXPECT_EQ(loose->label, "t");
+  ASSERT_EQ(loose->ops.size(), 2u);
+  EXPECT_EQ(loose->ops[0].size, 2u);
+  EXPECT_EQ(loose->ops[1].kind, AllocOpKind::kFree);
+}
+
+TEST(TraceIoDeathTest, MultiTokenLabelAbortsOnWrite) {
+  ReferenceTrace refs;
+  refs.label = "two words";
+  std::stringstream buffer;
+  EXPECT_DEATH(WriteReferenceTrace(refs, &buffer), "one token");
+  AllocationTrace allocs;
+  allocs.label = "hash#inside";
+  EXPECT_DEATH(WriteAllocationTrace(allocs, &buffer), "one token");
+}
+
+// Every label a generator sets is one token, so what the writers emit
+// reads back under the strict label rule.
+TEST(TraceIoTest, GeneratedTracesRoundTripUnderStrictLabels) {
+  AllocationTraceParams alloc;
+  alloc.operations = 300;
+  PhaseTraceParams phase;
+  phase.operations = 300;
+  MeasuredTraceParams measured;
+  measured.allocations = 150;
+  for (const AllocationTrace& original :
+       {MakeAllocationTrace(alloc), MakePhaseAllocationTrace(phase),
+        MakeMeasuredAllocationTrace(measured)}) {
+    std::stringstream buffer;
+    WriteAllocationTrace(original, &buffer);
+    const auto parsed = ReadAllocationTrace(&buffer);
+    ASSERT_TRUE(parsed.has_value()) << original.label << ": " << parsed.error().message;
+    EXPECT_EQ(parsed->label, original.label);
+    EXPECT_EQ(parsed->ops, original.ops);
+  }
+
+  SequentialTraceParams sequential;
+  sequential.length = 200;
+  RandomTraceParams random;
+  random.length = 200;
+  LoopTraceParams loop;
+  loop.length = 200;
+  WorkingSetTraceParams working_set;
+  working_set.phase_length = 100;
+  MatrixTraceParams matrix;
+  matrix.rows = 16;
+  matrix.cols = 16;
+  matrix.column_major = true;
+  ZipfTraceParams zipf;
+  zipf.length = 200;
+  for (const ReferenceTrace& original :
+       {MakeSequentialTrace(sequential), MakeRandomTrace(random), MakeLoopTrace(loop),
+        MakeWorkingSetTrace(working_set), MakeMatrixTrace(matrix), MakeZipfTrace(zipf),
+        Concatenate(MakeSequentialTrace(sequential), MakeZipfTrace(zipf))}) {
+    std::stringstream buffer;
+    WriteReferenceTrace(original, &buffer);
+    const auto parsed = ReadReferenceTrace(&buffer);
+    ASSERT_TRUE(parsed.has_value()) << original.label << ": " << parsed.error().message;
+    EXPECT_EQ(parsed->label, original.label);
+    EXPECT_EQ(parsed->refs, original.refs);
+  }
+}
+
 }  // namespace
 }  // namespace dsa

@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "src/core/assert.h"
 #include "src/core/fsio.h"
 
 namespace dsa {
@@ -11,12 +12,50 @@ namespace {
 constexpr char kMagic[8] = {'D', 'S', 'A', 'S', 'N', 'A', 'P', '1'};
 constexpr std::size_t kHeaderBytes = 8 + 4 + 8 + 8;  // magic, version, length, fnv
 
+constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
+
+// base^exp mod 2^64 by square-and-multiply.
+constexpr std::uint64_t PowMod64(std::uint64_t base, std::uint64_t exp) {
+  std::uint64_t result = 1;
+  while (exp != 0) {
+    if ((exp & 1) != 0) {
+      result *= base;
+    }
+    base *= base;
+    exp >>= 1;
+  }
+  return result;
+}
+
+// One FNV-1a step per zero byte is h *= p, so one zero word is h *= p^8.
+constexpr std::uint64_t kFnvPrimeWord = PowMod64(kFnvPrime, 8);
+
+std::uint64_t LoadWord(const char* p) {
+  std::uint64_t word;
+  std::memcpy(&word, p, sizeof(word));
+  return word;
+}
+
+void StoreLe(char* out, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    out[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  }
+}
+
 void AppendLe(std::string* out, std::uint64_t v, int bytes) {
   char buf[8];
-  for (int i = 0; i < bytes; ++i) {
-    buf[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  }
+  StoreLe(buf, v, bytes);
   out->append(buf, static_cast<std::size_t>(bytes));
+}
+
+// The container header up to and including the checksum field, which sits
+// in the last 8 bytes.
+void AppendHeader(std::string* out, std::uint64_t payload_bytes, std::uint64_t checksum) {
+  out->append(kMagic, sizeof(kMagic));
+  AppendLe(out, kSnapshotFormatVersion, 4);
+  AppendLe(out, payload_bytes, 8);
+  AppendLe(out, checksum, 8);
 }
 
 std::uint64_t ParseLe(const char* p, int bytes) {
@@ -56,11 +95,43 @@ std::string SnapshotError::Describe() const {
   return out;
 }
 
+// FNV-1a XORs each byte in and then multiplies by the prime.  The XOR of a
+// zero byte changes nothing, so a run of k zero bytes is exactly h *= p^k
+// (mod 2^64).  The kernel scans 8-byte words: a non-zero word takes its
+// eight byte steps, and a run of zero words costs one square-and-multiply.
+// Sparse snapshots (page tables, backing images) hash at the cost of their
+// non-zero bytes; dense bytes hash at the byte loop's speed.
 std::uint64_t Fnv64(std::string_view bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (char c : bytes) {
+  std::uint64_t h = kFnvOffset;
+  const char* p = bytes.data();
+  const char* const end = p + bytes.size();
+  auto step = [&h](char c) {
     h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
+    h *= kFnvPrime;
+  };
+  while (end - p >= 8) {
+    if (LoadWord(p) != 0) {
+      for (int i = 0; i < 8; ++i) {
+        step(p[i]);
+      }
+      p += 8;
+      continue;
+    }
+    std::uint64_t zero_words = 1;
+    p += 8;
+    while (end - p >= 32 &&
+           (LoadWord(p) | LoadWord(p + 8) | LoadWord(p + 16) | LoadWord(p + 24)) == 0) {
+      zero_words += 4;
+      p += 32;
+    }
+    while (end - p >= 8 && LoadWord(p) == 0) {
+      ++zero_words;
+      p += 8;
+    }
+    h *= PowMod64(kFnvPrimeWord, zero_words);
+  }
+  for (; p < end; ++p) {
+    step(*p);
   }
   return h;
 }
@@ -89,10 +160,7 @@ void SnapshotWriter::Bytes(std::string_view bytes) {
 std::string SnapshotWriter::Seal() const {
   std::string out;
   out.reserve(kHeaderBytes + payload_.size());
-  out.append(kMagic, sizeof(kMagic));
-  AppendLe(&out, kSnapshotFormatVersion, 4);
-  AppendLe(&out, payload_.size(), 8);
-  AppendLe(&out, Fnv64(payload_), 8);
+  AppendHeader(&out, payload_.size(), Fnv64(payload_));
   out.append(payload_);
   return out;
 }
@@ -255,26 +323,43 @@ std::uint64_t SectionedSnapshotWriter::HashOf(Entry* entry) {
   return *entry->hash;
 }
 
+// Two passes over the sections: the first decides which become refs and
+// sizes the payload, the second writes header and payload into one buffer
+// reserved at its final size, then patches the checksum in place.  The
+// bytes are those SnapshotWriter::Seal() gives for the same payload.
 std::string SectionedSnapshotWriter::SealKind(std::uint8_t kind, const SectionBaseline* base) {
-  SnapshotWriter w;
-  w.U8(kind);
-  w.U64(sections_.size());
-  for (Entry& entry : sections_) {
-    w.Str(entry.name);
-    bool as_ref = false;
+  std::vector<bool> as_ref(sections_.size(), false);
+  std::size_t payload_bytes = 1 + 8;  // kind, section count
+  for (std::size_t i = 0; i < sections_.size(); ++i) {
+    Entry& entry = sections_[i];
     if (base != nullptr) {
       auto it = base->hashes.find(entry.name);
-      as_ref = it != base->hashes.end() && it->second == HashOf(&entry);
+      as_ref[i] = it != base->hashes.end() && it->second == HashOf(&entry);
     }
-    if (as_ref) {
-      w.U8(kSectionRef);
-      w.U64(*entry.hash);
+    payload_bytes += 8 + entry.name.size() + 1 + 8 + (as_ref[i] ? 0 : entry.body->size());
+  }
+  std::string out;
+  out.reserve(kHeaderBytes + payload_bytes);
+  AppendHeader(&out, payload_bytes, 0);
+  AppendLe(&out, kind, 1);
+  AppendLe(&out, sections_.size(), 8);
+  for (std::size_t i = 0; i < sections_.size(); ++i) {
+    const Entry& entry = sections_[i];
+    AppendLe(&out, entry.name.size(), 8);
+    out.append(entry.name);
+    if (as_ref[i]) {
+      AppendLe(&out, kSectionRef, 1);
+      AppendLe(&out, *entry.hash, 8);
     } else {
-      w.U8(kSectionInline);
-      w.Bytes(*entry.body);
+      AppendLe(&out, kSectionInline, 1);
+      AppendLe(&out, entry.body->size(), 8);
+      out.append(*entry.body);
     }
   }
-  return w.Seal();
+  DSA_ASSERT(out.size() == kHeaderBytes + payload_bytes, "sealed size disagrees with its plan");
+  const std::uint64_t checksum = Fnv64(std::string_view(out).substr(kHeaderBytes));
+  StoreLe(out.data() + kHeaderBytes - 8, checksum, 8);
+  return out;
 }
 
 std::string SectionedSnapshotWriter::SealFull() {

@@ -59,7 +59,10 @@ struct SnapshotError {
   std::string Describe() const;
 };
 
-// FNV-1a 64-bit over a byte range; the snapshot payload checksum.
+// FNV-1a 64-bit over a byte range; the snapshot payload checksum.  Exactly
+// the byte loop's value, but a run of zero 8-byte words costs one
+// multiply by a power of the prime, so sparse payloads hash at the cost of
+// their non-zero bytes.
 std::uint64_t Fnv64(std::string_view bytes);
 
 class SnapshotWriter {
@@ -168,8 +171,11 @@ struct SectionBaseline {
 //
 // Hashing contract: each section's fnv64 is computed at most once per writer
 // and shared by Digest() and SealDelta(), and a body handed in with its hash
-// is never hashed here at all.  SealFull() hashes no section (only the
-// container checksum over the whole payload).
+// (a cached page-table chunk, or the one shared body of every empty chunk,
+// PageTable::EmptyChunk()) is never hashed here at all.  SealFull() hashes
+// no section; its one hash pass is the container checksum, which Fnv64's
+// zero-run kernel prices at the payload's non-zero bytes.  Each seal
+// writes into one buffer reserved at its final size.
 class SectionedSnapshotWriter {
  public:
   // Opens a new section; the returned writer is valid until the next Begin/

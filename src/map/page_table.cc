@@ -15,14 +15,24 @@ const PageTableEntry& PageTable::entry(PageId page) const {
 
 void PageTable::Map(PageId page, FrameId frame) {
   DSA_ASSERT(page.value < entries_.size(), "page out of table range");
-  entries_[page.value] = PageTableEntry{true, frame};
-  ++chunk_versions_[page.value / kChunkEntries];
+  PageTableEntry& entry = entries_[page.value];
+  const std::size_t chunk = page.value / kChunkEntries;
+  if (!entry.present) {
+    ++chunk_present_[chunk];
+  }
+  entry = PageTableEntry{true, frame};
+  ++chunk_versions_[chunk];
 }
 
 void PageTable::Unmap(PageId page) {
   DSA_ASSERT(page.value < entries_.size(), "page out of table range");
-  entries_[page.value] = PageTableEntry{};
-  ++chunk_versions_[page.value / kChunkEntries];
+  PageTableEntry& entry = entries_[page.value];
+  const std::size_t chunk = page.value / kChunkEntries;
+  if (entry.present) {
+    --chunk_present_[chunk];
+  }
+  entry = PageTableEntry{};
+  ++chunk_versions_[chunk];
 }
 
 PageTableMapper::PageTableMapper(WordCount page_words, std::size_t pages,
@@ -97,6 +107,40 @@ void PageTableMapper::Unmap(PageId page) {
   }
 }
 
+namespace {
+
+// Reads one entry in SaveChunk's encoding; an absent entry must carry frame
+// 0, the only absent encoding Save ever writes.
+PageTableEntry ReadEntry(SnapshotReader* r) {
+  PageTableEntry entry;
+  entry.present = r->Bool();
+  entry.frame = FrameId{r->U64()};
+  if (r->ok() && !entry.present && entry.frame.value != 0) {
+    r->Fail(SnapshotErrorKind::kBadValue, "absent page-table entry with a non-zero frame");
+  }
+  return entry;
+}
+
+// Bytes SaveChunk writes per entry: the present flag and the frame.
+constexpr std::size_t kEntryBytes = 1 + 8;
+
+}  // namespace
+
+std::size_t PageTable::chunk_entries(std::size_t chunk) const {
+  DSA_ASSERT(chunk < ChunkCount(), "chunk out of range");
+  return std::min(kChunkEntries, entries_.size() - chunk * kChunkEntries);
+}
+
+const PageTable::SharedChunk& PageTable::EmptyChunk() {
+  static const SharedChunk empty = [] {
+    SharedChunk chunk;
+    chunk.body = std::make_shared<const std::string>(kChunkEntries * kEntryBytes, '\0');
+    chunk.hash = Fnv64(*chunk.body);
+    return chunk;
+  }();
+  return empty;
+}
+
 void PageTable::SaveState(SnapshotWriter* w) const {
   w->U64(entries_.size());
   for (const PageTableEntry& entry : entries_) {
@@ -111,16 +155,19 @@ void PageTable::LoadState(SnapshotReader* r) {
     r->Fail(SnapshotErrorKind::kBadValue, "page table size mismatch");
   }
   std::vector<PageTableEntry> entries(entries_.size());
-  for (PageTableEntry& entry : entries) {
-    entry.present = r->Bool();
-    entry.frame = FrameId{r->U64()};
+  for (std::size_t i = 0; i < entries.size() && r->ok(); ++i) {
+    entries[i] = ReadEntry(r);
   }
   if (!r->ok()) {
     return;
   }
   entries_ = std::move(entries);
-  for (std::uint64_t& version : chunk_versions_) {
-    ++version;  // every chunk may have changed; stale caches must miss
+  for (std::size_t k = 0; k < ChunkCount(); ++k) {
+    ++chunk_versions_[k];  // every chunk may have changed; stale caches must miss
+    const auto begin = entries_.begin() + static_cast<std::ptrdiff_t>(k * kChunkEntries);
+    chunk_present_[k] = static_cast<std::uint32_t>(
+        std::count_if(begin, begin + static_cast<std::ptrdiff_t>(chunk_entries(k)),
+                      [](const PageTableEntry& e) { return e.present; }));
   }
 }
 
@@ -139,15 +186,17 @@ void PageTable::LoadChunk(std::size_t chunk, SnapshotReader* r) {
   const std::size_t begin = chunk * kChunkEntries;
   const std::size_t end = std::min(begin + kChunkEntries, entries_.size());
   std::vector<PageTableEntry> entries(end - begin);
-  for (PageTableEntry& entry : entries) {
-    entry.present = r->Bool();
-    entry.frame = FrameId{r->U64()};
+  std::uint32_t present = 0;
+  for (std::size_t i = 0; i < entries.size() && r->ok(); ++i) {
+    entries[i] = ReadEntry(r);
+    present += entries[i].present ? 1 : 0;
   }
   if (!r->ok()) {
     return;
   }
   std::copy(entries.begin(), entries.end(), entries_.begin() + begin);
   ++chunk_versions_[chunk];
+  chunk_present_[chunk] = present;
 }
 
 void PageTableMapper::SaveState(SnapshotWriter* w) const {
@@ -202,10 +251,16 @@ void PageTableMapper::SaveSections(SectionedSnapshotWriter* w) const {
   for (std::size_t k = 0; k < table_.ChunkCount(); ++k) {
     ChunkCache& cache = chunk_cache_[k];
     if (cache.version != table_.chunk_version(k)) {
-      SnapshotWriter cw;
-      table_.SaveChunk(k, &cw);
-      cache.body = std::make_shared<const std::string>(cw.TakePayload());
-      cache.hash = Fnv64(*cache.body);
+      if (table_.chunk_present(k) == 0 && table_.chunk_entries(k) == PageTable::kChunkEntries) {
+        const PageTable::SharedChunk& empty = PageTable::EmptyChunk();
+        cache.body = empty.body;
+        cache.hash = empty.hash;
+      } else {
+        SnapshotWriter cw;
+        table_.SaveChunk(k, &cw);
+        cache.body = std::make_shared<const std::string>(cw.TakePayload());
+        cache.hash = Fnv64(*cache.body);
+      }
       cache.version = table_.chunk_version(k);
     }
     w->Section(ChunkSectionName(k), cache.body, cache.hash);

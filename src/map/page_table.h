@@ -31,7 +31,8 @@ struct PageTableEntry {
 // of per-page-frame recording hardware.
 class PageTable {
  public:
-  explicit PageTable(std::size_t pages) : entries_(pages), chunk_versions_(ChunkCount(), 1) {}
+  explicit PageTable(std::size_t pages)
+      : entries_(pages), chunk_versions_(ChunkCount(), 1), chunk_present_(ChunkCount(), 0) {}
 
   std::size_t page_count() const { return entries_.size(); }
 
@@ -58,14 +59,32 @@ class PageTable {
   }
   std::uint64_t chunk_version(std::size_t chunk) const { return chunk_versions_[chunk]; }
 
+  // Entries in `chunk`: kChunkEntries, except possibly for a shorter tail.
+  std::size_t chunk_entries(std::size_t chunk) const;
+
+  // Present entries in `chunk`, kept by Map/Unmap and recounted on load.
+  std::size_t chunk_present(std::size_t chunk) const { return chunk_present_[chunk]; }
+
   // Serializes/loads one chunk's entries (no count prefix; the chunk's size
-  // is implied by the table geometry).
+  // is implied by the table geometry).  Loads reject an absent entry with a
+  // non-zero frame, which Unmap never leaves behind: every accepted table
+  // then re-serializes to exactly the bytes it was loaded from.
   void SaveChunk(std::size_t chunk, SnapshotWriter* w) const;
   void LoadChunk(std::size_t chunk, SnapshotReader* r);
+
+  // SaveChunk's encoding of a full-length chunk with no present entry, and
+  // its fnv64.  One process-wide body, built on first use and never written
+  // again, so concurrent seals may share it.
+  struct SharedChunk {
+    std::shared_ptr<const std::string> body;
+    std::uint64_t hash{0};
+  };
+  static const SharedChunk& EmptyChunk();
 
  private:
   std::vector<PageTableEntry> entries_;
   std::vector<std::uint64_t> chunk_versions_;
+  std::vector<std::uint32_t> chunk_present_;
 };
 
 // Name -> (page, offset) -> frame via the page table, with an optional TLB.
@@ -104,7 +123,9 @@ class PageTableMapper : public AddressMapper {
   // "map.pt.<k>" section per page-table chunk.  Chunk bodies and their
   // fnv64 are served from a version-keyed cache, so a chunk untouched since
   // the previous seal costs neither a re-encode, a copy nor a hash — and an
-  // unchanged body then collapses to a 17-byte ref in the delta seal.
+  // unchanged body then collapses to a 17-byte ref in the delta seal.  A
+  // full-length chunk with no present entry takes PageTable::EmptyChunk()
+  // and is never encoded or hashed at all.
   void SaveSections(SectionedSnapshotWriter* w) const;
   void LoadSections(SectionSource* src);
 

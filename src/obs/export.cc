@@ -4,6 +4,9 @@
 #include <istream>
 #include <ostream>
 #include <sstream>
+#include <string_view>
+
+#include "src/core/parse.h"
 
 namespace dsa {
 
@@ -77,17 +80,20 @@ struct LineScanner {
     ++p;
     return true;
   }
+  // Unsigned decimal digits; a value past 2^64 - 1 is malformed, not wrapped.
   bool Number(std::uint64_t* out) {
     SkipSpace();
-    if (*p < '0' || *p > '9') {
+    const char* end = p;
+    while (*end >= '0' && *end <= '9') {
+      ++end;
+    }
+    const auto value =
+        ParseDecimal(std::string_view(p, static_cast<std::size_t>(end - p)), "number");
+    if (!value.has_value()) {
       return false;
     }
-    std::uint64_t value = 0;
-    while (*p >= '0' && *p <= '9') {
-      value = value * 10 + static_cast<std::uint64_t>(*p - '0');
-      ++p;
-    }
-    *out = value;
+    *out = value.value();
+    p = end;
     return true;
   }
   // Reads a quoted string into `buf` (bounded; the wire names are short).

@@ -1,15 +1,20 @@
 #include "src/serve/checkpoint_store.h"
 
+#include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "src/core/assert.h"
+#include "src/core/parse.h"
 
 namespace dsa {
 
@@ -30,6 +35,34 @@ struct Manifest {
   std::map<std::string, std::vector<ManifestEntry>> entries;
 };
 
+// Exactly the 16 lowercase hex digits RenderMemberLine writes (no sign, no
+// 0x prefix; sixteen digits cannot overflow).
+std::optional<std::uint64_t> ParseChecksum(std::string_view token) {
+  if (token.size() != 16 || !std::all_of(token.begin(), token.end(), [](char c) {
+        return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f');
+      })) {
+    return std::nullopt;
+  }
+  std::uint64_t value = 0;
+  std::from_chars(token.data(), token.data() + token.size(), value, 16);
+  return value;
+}
+
+// The space-separated fields of a manifest line; an empty field (a doubled,
+// leading or trailing space) is kept so the caller rejects the line.
+std::vector<std::string_view> SplitFields(std::string_view line) {
+  std::vector<std::string_view> fields;
+  std::size_t start = 0;
+  while (true) {
+    const std::size_t space = line.find(' ', start);
+    fields.push_back(line.substr(start, space - start));
+    if (space == std::string_view::npos) {
+      return fields;
+    }
+    start = space + 1;
+  }
+}
+
 Expected<std::uint64_t, SnapshotError> ParseCountLine(const std::string& line,
                                                       const char* prefix,
                                                       const char* what) {
@@ -38,13 +71,12 @@ Expected<std::uint64_t, SnapshotError> ParseCountLine(const std::string& line,
     return MakeUnexpected(SnapshotError{SnapshotErrorKind::kBadValue,
                                         std::string("manifest ") + what + " line missing"});
   }
-  char* end = nullptr;
-  const std::uint64_t value = std::strtoull(line.c_str() + n, &end, 10);
-  if (end == nullptr || *end != '\0' || value == 0) {
+  const auto value = ParseDecimal(std::string_view(line).substr(n), what);
+  if (!value.has_value() || value.value() == 0) {
     return MakeUnexpected(SnapshotError{SnapshotErrorKind::kBadValue,
                                         std::string("manifest ") + what + " unparseable"});
   }
-  return value;
+  return value.value();
 }
 
 // Strict parse of the store's own format; anything else is a typed error.
@@ -90,23 +122,31 @@ Expected<Manifest, SnapshotError> ParseManifest(const std::string& text) {
       sealed = true;
       break;
     }
-    std::istringstream fields(line);
-    std::string tag;
-    ManifestEntry entry;
-    std::string kind;
-    std::string checksum_hex;
-    if (!(fields >> tag >> entry.name >> entry.gen >> kind >> entry.bytes >> checksum_hex) ||
-        tag != "member" || (kind != "f" && kind != "d")) {
+    // member <name> <gen> <f|d> <bytes> <checksum>, as RenderMemberLine
+    // writes it.
+    const std::vector<std::string_view> fields = SplitFields(line);
+    if (fields.size() != 6 || fields[0] != "member" || fields[1].empty() ||
+        (fields[3] != "f" && fields[3] != "d")) {
       return MakeUnexpected(SnapshotError{SnapshotErrorKind::kBadValue,
                                           "manifest member line unparseable: " + line});
     }
-    entry.delta = kind == "d";
-    char* end = nullptr;
-    entry.checksum = std::strtoull(checksum_hex.c_str(), &end, 16);
-    if (end == nullptr || *end != '\0' || checksum_hex.size() != 16) {
+    const auto gen = ParseDecimal(fields[2], "member generation");
+    const auto bytes = ParseDecimal(fields[4], "member bytes");
+    if (!gen.has_value() || !bytes.has_value()) {
+      return MakeUnexpected(SnapshotError{SnapshotErrorKind::kBadValue,
+                                          "manifest member line unparseable: " + line});
+    }
+    ManifestEntry entry;
+    entry.name = std::string(fields[1]);
+    entry.gen = gen.value();
+    entry.delta = fields[3] == "d";
+    entry.bytes = bytes.value();
+    const std::optional<std::uint64_t> checksum = ParseChecksum(fields[5]);
+    if (!checksum.has_value()) {
       return MakeUnexpected(SnapshotError{SnapshotErrorKind::kBadValue,
                                           "manifest checksum unparseable: " + line});
     }
+    entry.checksum = *checksum;
     if (entry.gen < manifest.base_generation || entry.gen > manifest.generation) {
       return MakeUnexpected(SnapshotError{
           SnapshotErrorKind::kBadValue, "manifest entry generation out of range: " + line});

@@ -1,12 +1,12 @@
 #include "src/trace/trace_io.h"
 
-#include <charconv>
 #include <istream>
 #include <ostream>
 #include <string>
 #include <string_view>
 
 #include "src/core/assert.h"
+#include "src/core/parse.h"
 
 namespace dsa {
 
@@ -50,21 +50,6 @@ std::string_view NextToken(std::string_view* rest) {
   const std::string_view token = rest->substr(0, rest->find_first_of(kBlanks));
   rest->remove_prefix(token.size());
   return token;
-}
-
-// Parses one decimal field: no sign, no trailing characters, no overflow.
-// `what` names the field in the error message.
-Expected<std::uint64_t, std::string> ParseDecimal(std::string_view token, std::string_view what) {
-  std::uint64_t value = 0;
-  const char* end = token.data() + token.size();
-  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
-  if (ec == std::errc::result_out_of_range) {
-    return MakeUnexpected(std::string(what) + " out of range: " + std::string(token));
-  }
-  if (ec != std::errc{} || ptr != end) {
-    return MakeUnexpected("bad " + std::string(what) + ": " + std::string(token));
-  }
-  return value;
 }
 
 // Fails if `rest` still holds a token after the fields of a `verb` line.

@@ -942,6 +942,75 @@ TEST(CheckpointStoreDeltaTest, MisusedDeltaStagingIsTypedAtCommit) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Strict manifest numbers: a count, size or checksum the writer could not
+// have rendered is a typed kBadValue, never a number strtoull would accept
+// after skipping a space, taking a sign or a 0x prefix, or saturating.
+
+std::string ReadText(const std::string& path) {
+  std::ifstream in(path);
+  return std::string((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+}
+
+// Commits one full cut of member "m" into a fresh store at `dir`, then a
+// delta, and returns the manifest text the store wrote.
+std::string CommitFullAndDelta(const std::string& dir) {
+  SectionedSnapshotWriter w1;
+  w1.Begin("s")->U64(1);
+  const SectionBaseline baseline = w1.Digest();
+  SectionedSnapshotWriter w2;
+  w2.Begin("s")->U64(2);
+  CheckpointStore store(dir);
+  EXPECT_TRUE(store.Recover().has_value());
+  store.Stage("m", w1.SealFull());
+  EXPECT_TRUE(store.Commit(CutKind::kFull).has_value());
+  store.StageDelta("m", w2.SealDelta(baseline));
+  EXPECT_TRUE(store.Commit(CutKind::kDelta).has_value());
+  return ReadText(dir + "/MANIFEST");
+}
+
+TEST(CheckpointManifestTest, NonCanonicalNumbersAreTypedBadValues) {
+  Scratch scratch("manifestnum");
+  const std::string probe = CommitFullAndDelta(scratch.Out("probe"));
+  // The delta member line: "member m 2 d <bytes> <checksum>".
+  const std::size_t line_at = probe.find("member m 2 d ");
+  ASSERT_NE(line_at, std::string::npos);
+  const std::string line = probe.substr(line_at, probe.find('\n', line_at) - line_at);
+  const std::size_t checksum_at = line.rfind(' ') + 1;
+  const std::string checksum = line.substr(checksum_at);
+  const std::string bytes_field = line.substr(13, checksum_at - 1 - 13);
+
+  const std::vector<std::pair<std::string, std::string>> edits = {
+      {"\ngen 2\n", "\ngen -1\n"},
+      {"\ngen 2\n", "\ngen +2\n"},
+      {"\ngen 2\n", "\ngen  2\n"},
+      {"\ngen 2\n", "\ngen 18446744073709551616\n"},
+      {" d " + bytes_field + " ", " d -1 "},
+      {" " + checksum + "\n", " 0x00000000000001\n"},
+      {" " + checksum + "\n", " -000000000000001\n"},
+  };
+  for (std::size_t i = 0; i < edits.size(); ++i) {
+    const auto& [from, to] = edits[i];
+    const std::string dir = scratch.Out("store" + std::to_string(i));
+    std::string text = CommitFullAndDelta(dir);
+    const std::size_t at = text.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    text.replace(at, from.size(), to);
+    {
+      std::ofstream out(dir + "/MANIFEST", std::ios::trunc);
+      out << text;
+    }
+    CheckpointStore store(dir);
+    auto recovered = store.Recover();
+    ASSERT_TRUE(recovered.has_value()) << recovered.error().Describe();
+    ASSERT_EQ(recovered->quarantined.size(), 1u) << to;
+    EXPECT_EQ(recovered->quarantined[0].file, dir + "/MANIFEST") << to;
+    EXPECT_EQ(recovered->quarantined[0].error.kind, SnapshotErrorKind::kBadValue)
+        << to << ": " << recovered->quarantined[0].error.Describe();
+    EXPECT_EQ(recovered->generation, 0u) << to;
+  }
+}
+
 TEST(CheckpointCorruptionDeathTest, CorruptStoreExitsCleanlyNotViaAbort) {
   // Pin the no-abort discipline with a real process boundary: recovering a
   // mangled store and then serving to completion must exit 0.

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/map/associative_memory.h"
 #include "src/map/block_table.h"
 #include "src/map/mapper.h"
@@ -224,6 +227,113 @@ TEST(PageTableMapperTest, NameBeyondTableIsInvalid) {
   const auto t = mapper.Translate(Name{512 * 4}, AccessKind::kRead, 0);
   ASSERT_FALSE(t.has_value());
   EXPECT_EQ(t.error().kind, FaultKind::kInvalidName);
+}
+
+// --- PageTable present counts and strict loads ------------------------------------------
+
+constexpr std::size_t kChunk = PageTable::kChunkEntries;
+
+std::vector<std::size_t> PresentCounts(const PageTable& table) {
+  std::vector<std::size_t> counts;
+  for (std::size_t k = 0; k < table.ChunkCount(); ++k) {
+    counts.push_back(table.chunk_present(k));
+  }
+  return counts;
+}
+
+TEST(PageTablePresentCountTest, RemapAndAbsentUnmapDoNotMoveTheCount) {
+  PageTable table(2 * kChunk + 10);
+  ASSERT_EQ(table.ChunkCount(), 3u);
+  EXPECT_EQ(table.chunk_entries(1), kChunk);
+  EXPECT_EQ(table.chunk_entries(2), 10u);
+  table.Map(PageId{5}, FrameId{1});
+  table.Map(PageId{5}, FrameId{2});  // already present: a new frame, not a new entry
+  table.Unmap(PageId{6});            // already absent
+  EXPECT_EQ(PresentCounts(table), (std::vector<std::size_t>{1, 0, 0}));
+  EXPECT_EQ(table.entry(PageId{5}).frame, FrameId{2});
+}
+
+TEST(PageTablePresentCountTest, ChunkGoesPresentEmptyPresent) {
+  PageTable table(2 * kChunk);
+  table.Map(PageId{kChunk + 1}, FrameId{3});
+  table.Map(PageId{kChunk + 2}, FrameId{4});
+  EXPECT_EQ(PresentCounts(table), (std::vector<std::size_t>{0, 2}));
+  table.Unmap(PageId{kChunk + 1});
+  table.Unmap(PageId{kChunk + 2});
+  EXPECT_EQ(PresentCounts(table), (std::vector<std::size_t>{0, 0}));
+  table.Map(PageId{kChunk + 3}, FrameId{5});
+  EXPECT_EQ(PresentCounts(table), (std::vector<std::size_t>{0, 1}));
+}
+
+PageTable SourceTable() {
+  PageTable table(2 * kChunk + 10);
+  table.Map(PageId{0}, FrameId{1});
+  table.Map(PageId{9}, FrameId{2});
+  table.Map(PageId{kChunk - 1}, FrameId{3});
+  table.Map(PageId{2 * kChunk + 9}, FrameId{4});
+  return table;
+}
+
+TEST(PageTablePresentCountTest, LoadChunkAndLoadStateRecount) {
+  const PageTable source = SourceTable();
+  const std::vector<std::size_t> expected{3, 0, 1};
+  ASSERT_EQ(PresentCounts(source), expected);
+
+  PageTable by_chunk(2 * kChunk + 10);
+  by_chunk.Map(PageId{kChunk + 4}, FrameId{7});  // source leaves chunk 1 empty
+  for (std::size_t k = 0; k < source.ChunkCount(); ++k) {
+    SnapshotWriter w;
+    source.SaveChunk(k, &w);
+    const std::string body = w.TakePayload();
+    SnapshotReader r = SnapshotReader::ForPayload(body);
+    by_chunk.LoadChunk(k, &r);
+    ASSERT_TRUE(r.ok() && r.AtEnd()) << r.error().Describe();
+  }
+  EXPECT_EQ(PresentCounts(by_chunk), expected);
+
+  PageTable flat(2 * kChunk + 10);
+  flat.Map(PageId{kChunk + 4}, FrameId{7});
+  SnapshotWriter w;
+  source.SaveState(&w);
+  const std::string sealed = w.Seal();
+  SnapshotReader r(sealed);
+  flat.LoadState(&r);
+  ASSERT_TRUE(r.ok() && r.AtEnd()) << r.error().Describe();
+  EXPECT_EQ(PresentCounts(flat), expected);
+}
+
+TEST(PageTableStrictLoadTest, AbsentEntryWithAFrameIsABadValue) {
+  // Unmap always leaves frame 0 behind, so an absent entry with any other
+  // frame can only come from a damaged or forged snapshot; accepting it
+  // would re-serialize to different bytes.
+  PageTable table = SourceTable();
+  const std::vector<std::size_t> before = PresentCounts(table);
+
+  SnapshotWriter chunk;
+  for (std::size_t i = 0; i < kChunk; ++i) {
+    chunk.Bool(false);
+    chunk.U64(i == 17 ? 5 : 0);
+  }
+  const std::string body = chunk.TakePayload();
+  SnapshotReader r = SnapshotReader::ForPayload(body);
+  table.LoadChunk(0, &r);
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.error().kind, SnapshotErrorKind::kBadValue);
+  EXPECT_EQ(PresentCounts(table), before);
+  EXPECT_EQ(table.entry(PageId{0}).frame, FrameId{1});
+
+  SnapshotWriter flat;
+  flat.U64(table.page_count());
+  for (std::size_t i = 0; i < table.page_count(); ++i) {
+    flat.Bool(false);
+    flat.U64(i == 2 * kChunk + 3 ? 1 : 0);
+  }
+  const std::string sealed = flat.Seal();
+  SnapshotReader fr(sealed);
+  table.LoadState(&fr);
+  EXPECT_FALSE(fr.ok());
+  EXPECT_EQ(fr.error().kind, SnapshotErrorKind::kBadValue);
+  EXPECT_EQ(PresentCounts(table), before);
 }
 
 // --- AtlasPageRegisterMapper -------------------------------------------------------------

@@ -153,6 +153,23 @@ TEST(EventExportTest, ParserSkipsBlankLinesAndReportsBadOnes) {
   EXPECT_EQ(garbage.error().line, 2u);
 }
 
+TEST(EventExportTest, NumbersPast64BitsAreMalformedNotWrapped) {
+  // The largest value the exporter can write parses back exactly.
+  const std::uint64_t top = ~std::uint64_t{0};
+  const std::vector<TraceEvent> max{{top, EventKind::kPageFault, top, 0, 0}};
+  const auto parsed = ParseEventsJsonl(EventsToJsonl(max));
+  ASSERT_TRUE(parsed.has_value()) << parsed.error().message;
+  EXPECT_EQ(parsed.value(), max);
+
+  for (const char* line : {R"({"t": 18446744073709551616, "kind": "page-fault", "page": 2})",
+                           R"({"t": 123456789012345678901, "kind": "page-fault", "page": 2})",
+                           R"({"t": 1, "kind": "page-fault", "page": 99999999999999999999})"}) {
+    const auto bad = ParseEventsJsonl(line);
+    ASSERT_FALSE(bad.has_value()) << line;
+    EXPECT_EQ(bad.error().line, 1u);
+  }
+}
+
 TEST(EventExportTest, CsvHasFixedHeaderAndPositionalSlots) {
   std::vector<TraceEvent> events;
   events.push_back({5, EventKind::kVictimChosen, 11, 3, 0});

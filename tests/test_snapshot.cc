@@ -8,11 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/core/rng.h"
@@ -286,6 +288,67 @@ TEST(ComponentSnapshotTest, LoadControllerRoundTripsDecisionState) {
   SnapshotWriter wb;
   b.SaveState(&wb);
   EXPECT_EQ(wa.Seal(), wb.Seal());
+}
+
+// ---------------------------------------------------------------------------
+// Fnv64 exactness: the word-scanning, zero-run kernel must equal the plain
+// FNV-1a byte loop on every input.
+
+std::uint64_t ByteLoopFnv64(std::string_view bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(Fnv64Test, PublishedVectors) {
+  EXPECT_EQ(Fnv64(""), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(Fnv64("a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(Fnv64("foobar"), 0x85944171f73967e8ULL);
+}
+
+TEST(Fnv64Test, MatchesByteLoopAtEveryLengthAndStartOffset) {
+  // Mostly-zero bytes, so zero words, non-zero words and runs of each occur
+  // at every alignment.
+  Rng rng(0xf00dULL);
+  std::string buf(300 + 8 + 8, '\0');
+  for (char& c : buf) {
+    if (rng.Next() % 4 == 0) {
+      c = static_cast<char>(rng.Next() & 0xff);
+    }
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= 300; ++length) {
+      const std::string_view view(buf.data() + offset, length);
+      ASSERT_EQ(Fnv64(view), ByteLoopFnv64(view)) << "offset " << offset << " length " << length;
+    }
+  }
+}
+
+TEST(Fnv64Test, ZeroRunsAcrossWordAndBlockBoundaries) {
+  Rng rng(0xbeefULL);
+  std::string dense(200, '\0');
+  for (char& c : dense) {
+    c = static_cast<char>(1 + rng.Next() % 255);
+  }
+  for (std::size_t start = 0; start < 40; ++start) {
+    for (std::size_t run = 0; run <= 120; ++run) {
+      std::string buf = dense;
+      std::fill_n(buf.begin() + static_cast<std::ptrdiff_t>(start), run, '\0');
+      ASSERT_EQ(Fnv64(buf), ByteLoopFnv64(buf)) << "zero run of " << run << " at " << start;
+    }
+  }
+}
+
+TEST(Fnv64Test, LongZeroBuffers) {
+  std::string zeros(std::size_t{4} << 20, '\0');
+  EXPECT_EQ(Fnv64(zeros), ByteLoopFnv64(zeros));
+  zeros.back() = 1;
+  EXPECT_EQ(Fnv64(zeros), ByteLoopFnv64(zeros));
+  zeros.push_back(7);  // the only non-zero bytes now straddle the tail
+  EXPECT_EQ(Fnv64(zeros), ByteLoopFnv64(zeros));
 }
 
 // ---------------------------------------------------------------------------
@@ -719,6 +782,46 @@ std::set<std::string> DeltaChunks(const PageTableMapper& m, const MapperCut& bas
   return chunks;
 }
 
+TEST(SectionHashCacheTest, EmptyChunksShareOneBodyEqualToSaveChunksEncoding) {
+  PageTable table(2 * PageTable::kChunkEntries);
+  table.Map(PageId{3}, FrameId{1});
+  table.Unmap(PageId{3});  // empty again, not merely never touched
+  SnapshotWriter w;
+  table.SaveChunk(0, &w);
+  const std::string encoded = w.TakePayload();
+  const PageTable::SharedChunk& empty = PageTable::EmptyChunk();
+  EXPECT_EQ(*empty.body, encoded);
+  EXPECT_EQ(empty.hash, Fnv64(encoded));
+
+  // Three of kMapPages' four chunks are empty: the mapper's cache and the
+  // writer each hold the shared body once per empty chunk.
+  const long users = empty.body.use_count();
+  PageTableMapper m(kMapPageWords, kMapPages, 0);
+  m.Map(PageInChunk(1, 2), FrameId{4});
+  {
+    SectionedSnapshotWriter sw;
+    m.SaveSections(&sw);
+    EXPECT_EQ(empty.body.use_count(), users + 6);
+  }
+  EXPECT_EQ(empty.body.use_count(), users + 3);
+}
+
+TEST(SectionHashCacheTest, ShortEmptyTailChunkRoundTrips) {
+  const std::size_t pages = 2 * PageTable::kChunkEntries + 10;
+  PageTableMapper m(kMapPageWords, pages, 0);
+  m.Map(PageId{1}, FrameId{2});
+  const MapperCut cut = CutMapper(m);
+  auto resolved = ResolveSectionChain({cut.full});
+  ASSERT_TRUE(resolved.has_value()) << resolved.error().Describe();
+  PageTableMapper restored(kMapPageWords, pages, 0);
+  restored.LoadSections(&resolved.value());
+  resolved.value().FailIfUnopened();
+  ASSERT_TRUE(resolved.value().ok()) << resolved.value().error().Describe();
+  EXPECT_EQ(CutMapper(restored).full, cut.full);
+  EXPECT_EQ(restored.table().chunk_present(0), 1u);
+  EXPECT_EQ(restored.table().chunk_present(2), 0u);
+}
+
 TEST(SectionHashCacheTest, DeltaInlinesExactlyTheChunksMapAndUnmapChanged) {
   PageTableMapper m(kMapPageWords, kMapPages, 0);
   const MapperCut empty = CutMapper(m);
@@ -823,6 +926,34 @@ TEST(SectionHashCacheTest, WarmVmRestoredFromChainResealsIdentically) {
   EXPECT_EQ(lhs.SealFull(), rhs.SealFull());
   EXPECT_EQ(lhs.SealDelta(baseline), rhs.SealDelta(baseline));
   EXPECT_EQ(StepAll(&vm, trace, 2 * cut), StepAll(&restored, trace, 2 * cut));
+}
+
+// Byte pins for a serve-spec tenant's cuts: the sealed full and delta bytes
+// must not move when the seal, the hash or the chunk encoder get faster.
+// The values were recorded with the byte-at-a-time FNV-1a loop, the
+// doubling-append seal and per-chunk encoding of empty page-table chunks.
+TEST(SealBytePinTest, ServeTenantFullAndDeltaSealsKeepTheirBytes) {
+  const SystemSpec spec = ServeSpec(ReplacementStrategyKind::kLru);
+  const ReferenceTrace trace = VmTrace();
+  PagedLinearVm vm(PagedConfigFromSpec(spec));
+  for (std::size_t i = 0; i < 2000; ++i) {
+    vm.Step(trace.refs[i]);
+  }
+  SectionedSnapshotWriter full_w;
+  vm.SaveSections(&full_w);
+  const SectionBaseline baseline = full_w.Digest();
+  const std::string full = full_w.SealFull();
+  for (std::size_t i = 2000; i < 3500; ++i) {
+    vm.Step(trace.refs[i]);
+  }
+  SectionedSnapshotWriter delta_w;
+  vm.SaveSections(&delta_w);
+  const std::string delta = delta_w.SealDelta(baseline);
+
+  EXPECT_EQ(full.size(), 1182288u);
+  EXPECT_EQ(Fnv64(full), 0xc426d1f4306817cdULL);
+  EXPECT_EQ(delta.size(), 39583u);
+  EXPECT_EQ(Fnv64(delta), 0xd0e6ff50557a62daULL);
 }
 
 }  // namespace

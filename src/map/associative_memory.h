@@ -40,7 +40,9 @@ class AssociativeMemory {
 
   // Checkpoint serialization: slot contents in stored order (order matters —
   // LRU eviction scans linearly and ties break by position) plus the hit
-  // counters.  The memory must be constructed with the same capacity.
+  // counters.  The memory must be constructed with the same capacity.  Loads
+  // reject a key held by two slots, which Insert never leaves behind.  The
+  // recent-slot hint is not state: it is checked by key before use.
   void SaveState(SnapshotWriter* w) const {
     w->U64(slots_.size());
     for (const Slot& slot : slots_) {
@@ -60,6 +62,11 @@ class AssociativeMemory {
       slot.key = r->U64();
       slot.value = r->U64();
       slot.last_use = r->U64();
+      for (const Slot& earlier : slots) {
+        if (r->ok() && earlier.key == slot.key) {
+          r->Fail(SnapshotErrorKind::kBadValue, "one key in two associative slots");
+        }
+      }
       slots.push_back(slot);
     }
     const std::uint64_t hits = r->U64();
@@ -89,6 +96,10 @@ class AssociativeMemory {
 
   std::size_t entries_;
   std::vector<Slot> slots_;
+  // Slot of the most recent hit or insert: Lookup's first probe.  Only a
+  // hint — Invalidate's swap-with-back may move another key into it, or
+  // leave it past the end — so it is always checked before use.
+  std::size_t recent_{0};
   std::uint64_t hits_{0};
   std::uint64_t misses_{0};
 };

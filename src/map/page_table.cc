@@ -310,13 +310,17 @@ void AtlasPageRegisterMapper::LoadState(SnapshotReader* r) {
     r->Fail(SnapshotErrorKind::kBadValue, "atlas register count mismatch");
   }
   std::vector<std::optional<PageId>> registers(registers_.size());
-  std::unordered_map<std::uint64_t, std::size_t> frame_of_page;
+  ResidentIndex frame_of_page(registers_.size());
   for (std::size_t f = 0; f < registers.size() && r->ok(); ++f) {
     const bool loaded = r->Bool();
     const std::uint64_t page = r->U64();
+    if (r->ok() && !loaded && page != 0) {
+      r->Fail(SnapshotErrorKind::kBadValue, "empty atlas register with a non-zero page");
+      return;
+    }
     if (loaded) {
       registers[f] = PageId{page};
-      if (!frame_of_page.emplace(page, f).second) {
+      if (!frame_of_page.Insert(page, FrameId{f})) {
         r->Fail(SnapshotErrorKind::kBadValue, "one page in two atlas registers");
         return;
       }
@@ -332,7 +336,7 @@ void AtlasPageRegisterMapper::LoadState(SnapshotReader* r) {
 
 AtlasPageRegisterMapper::AtlasPageRegisterMapper(WordCount page_words, std::size_t frames,
                                                  MappingCostModel costs)
-    : page_words_(page_words), registers_(frames), costs_(costs) {
+    : page_words_(page_words), registers_(frames), frame_of_page_(frames), costs_(costs) {
   DSA_ASSERT(page_words_ > 0 && std::has_single_bit(page_words_),
              "page size must be a power of two");
   DSA_ASSERT(frames > 0, "need at least one page frame");
@@ -349,10 +353,9 @@ TranslationResult AtlasPageRegisterMapper::Translate(Name name, AccessKind kind,
   // simulating that parallel search O(1) instead of a sweep of every
   // register.
   const Cycles cost = costs_.associative_search;
-  const auto it = frame_of_page_.find(page.value);
-  if (it != frame_of_page_.end()) {
+  if (const std::optional<FrameId> frame = frame_of_page_.Find(page.value)) {
     CountTranslation(cost);
-    return Translation{PhysicalAddress{it->second * page_words_ + offset}, cost, true};
+    return Translation{PhysicalAddress{frame->value * page_words_ + offset}, cost, true};
   }
   Fault fault{FaultKind::kPageNotPresent, name, {}, page, cost};
   CountFault(cost);
@@ -362,16 +365,16 @@ TranslationResult AtlasPageRegisterMapper::Translate(Name name, AccessKind kind,
 void AtlasPageRegisterMapper::LoadFrame(FrameId frame, PageId page) {
   DSA_ASSERT(frame.value < registers_.size(), "frame out of range");
   if (registers_[frame.value].has_value()) {
-    frame_of_page_.erase(registers_[frame.value]->value);
+    frame_of_page_.Erase(registers_[frame.value]->value);
   }
   registers_[frame.value] = page;
-  frame_of_page_[page.value] = frame.value;
+  frame_of_page_.Assign(page.value, frame);
 }
 
 void AtlasPageRegisterMapper::ClearFrame(FrameId frame) {
   DSA_ASSERT(frame.value < registers_.size(), "frame out of range");
   if (registers_[frame.value].has_value()) {
-    frame_of_page_.erase(registers_[frame.value]->value);
+    frame_of_page_.Erase(registers_[frame.value]->value);
   }
   registers_[frame.value].reset();
 }

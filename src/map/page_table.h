@@ -10,9 +10,9 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "src/core/resident_index.h"
 #include "src/core/snapshot.h"
 #include "src/core/types.h"
 #include "src/map/associative_memory.h"
@@ -180,7 +180,10 @@ class AtlasPageRegisterMapper : public AddressMapper {
   PageId PageOf(Name name) const { return PageId{name.value >> offset_bits_}; }
 
   // Checkpoint serialization: the registers plus accounting; the reverse
-  // index is rebuilt, not stored.
+  // index is rebuilt, not stored.  Loads reject an empty register with a
+  // non-zero page, which ClearFrame never leaves behind: every accepted
+  // register file then re-serializes to exactly the bytes it was loaded
+  // from.
   void SaveState(SnapshotWriter* w) const;
   void LoadState(SnapshotReader* r);
 
@@ -191,7 +194,7 @@ class AtlasPageRegisterMapper : public AddressMapper {
   // Reverse index (page -> frame) kept coherent with the registers.  The
   // modeled hardware searches every register in parallel at one fixed cost;
   // the index only makes the *simulation* of that search O(1).
-  std::unordered_map<std::uint64_t, std::size_t> frame_of_page_;
+  ResidentIndex frame_of_page_;
   MappingCostModel costs_;
 };
 

@@ -149,8 +149,12 @@ void FrameTable::Touch(FrameId frame, Cycles now, bool write, Cycles idle_thresh
     info.modified = true;
   }
   info.last_use = now;
-  ListRemove(lru_, frame.value);
-  ListPushBack(lru_, frame.value);
+  // Most references repeat the page just used, whose frame is already the
+  // LRU tail; relinking it there would leave the list unchanged.
+  if (lru_[frames_.size()].prev != frame.value) {
+    ListRemove(lru_, frame.value);
+    ListPushBack(lru_, frame.value);
+  }
 }
 
 void FrameTable::Pin(FrameId frame) {

@@ -21,7 +21,8 @@ HierarchyPager::HierarchyPager(HierarchyPagerConfig config,
       disk_(config.disk_level),
       replacement_(std::move(replacement)),
       injector_(injector),
-      frames_(config.frames) {
+      frames_(config.frames),
+      resident_(config.frames) {
   DSA_ASSERT(replacement_ != nullptr, "hierarchy pager needs a replacement policy");
   DSA_ASSERT(config_.drum_pages > 0, "drum must hold at least one page");
   if (config_.touch_idle_threshold == 0) {
@@ -173,7 +174,7 @@ void HierarchyPager::EvictOne(Cycles now) {
   PlaceEvicted(page, now);
   replacement_->OnEvict(victim, page);
   frames_.Evict(victim);
-  resident_.erase(page.value);
+  resident_.Erase(page.value);
 }
 
 Expected<Cycles, PageAccessError> HierarchyPager::Access(PageId page, AccessKind kind,
@@ -182,9 +183,9 @@ Expected<Cycles, PageAccessError> HierarchyPager::Access(PageId page, AccessKind
   ++stats_.accesses;
   const bool write = kind == AccessKind::kWrite;
 
-  if (auto it = resident_.find(page.value); it != resident_.end()) {
-    frames_.Touch(it->second, now, write, config_.touch_idle_threshold);
-    replacement_->OnAccess(it->second, page, now, write);
+  if (const std::optional<FrameId> frame = resident_.Find(page.value)) {
+    frames_.Touch(*frame, now, write, config_.touch_idle_threshold);
+    replacement_->OnAccess(*frame, page, now, write);
     return Cycles{0};
   }
 
@@ -328,7 +329,7 @@ Expected<Cycles, PageAccessError> HierarchyPager::Access(PageId page, AccessKind
   stats_.wait_cycles += wait;
 
   frames_.Load(*frame, page, now);
-  resident_.emplace(page.value, *frame);
+  resident_.Insert(page.value, *frame);
   replacement_->OnLoad(*frame, page, now);
   const Cycles arrival = now + wait;
   frames_.Touch(*frame, arrival, write, config_.touch_idle_threshold);

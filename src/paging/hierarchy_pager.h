@@ -30,6 +30,7 @@
 #include <unordered_map>
 
 #include "src/core/expected.h"
+#include "src/core/resident_index.h"
 #include "src/core/types.h"
 #include "src/mem/backing_store.h"
 #include "src/mem/channel.h"
@@ -98,7 +99,7 @@ class HierarchyPager {
   // when every recovery path (retries, relocation, spare frames) is spent.
   Expected<Cycles, PageAccessError> Access(PageId page, AccessKind kind, Cycles now);
 
-  bool IsResident(PageId page) const { return resident_.contains(page.value); }
+  bool IsResident(PageId page) const { return resident_.Contains(page.value); }
 
   const HierarchyPagerStats& stats() const { return stats_; }
   const FrameTable& frames() const { return frames_; }
@@ -135,7 +136,7 @@ class HierarchyPager {
   std::unique_ptr<ReplacementPolicy> replacement_;
   FaultInjector* injector_;
   FrameTable frames_;
-  std::unordered_map<std::uint64_t, FrameId> resident_;
+  ResidentIndex resident_;
   std::unordered_map<std::uint64_t, Home> home_;       // where each absent page lives
   std::unordered_map<std::uint64_t, bool> promoted_;   // disk-faulted pages to stage on drum
   std::list<std::uint64_t> drum_lru_;                  // drum residents, most recent first

@@ -1,6 +1,7 @@
 #include "src/paging/pager.h"
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "src/core/assert.h"
@@ -37,7 +38,8 @@ Pager::Pager(PagerConfig config, BackingStore* backing, TransferChannel* channel
       fetch_(std::move(fetch)),
       advice_(advice),
       injector_(injector),
-      frames_(config.frames) {
+      frames_(config.frames),
+      resident_(config.frames) {
   DSA_ASSERT(backing_ != nullptr, "pager needs a backing store");
   DSA_ASSERT(replacement_ != nullptr, "pager needs a replacement policy");
   DSA_ASSERT(fetch_ != nullptr, "pager needs a fetch policy");
@@ -45,14 +47,6 @@ Pager::Pager(PagerConfig config, BackingStore* backing, TransferChannel* channel
     config_.touch_idle_threshold = config_.page_words;
   }
   stats_.reliability.residual_frames = frames_.usable_frame_count();
-}
-
-std::optional<FrameId> Pager::FrameOf(PageId page) const {
-  auto it = resident_.find(page.value);
-  if (it == resident_.end()) {
-    return std::nullopt;
-  }
-  return it->second;
 }
 
 void Pager::AdviseWillNeed(PageId page) {
@@ -162,7 +156,7 @@ void Pager::EvictFrame(FrameId frame, Cycles now) {
   }
   replacement_->OnEvict(frame, page);
   frames_.Evict(frame);
-  resident_.erase(page.value);
+  resident_.Erase(page.value);
   ++stats_.evictions;
   if (on_evict_) {
     on_evict_(page, frame);
@@ -280,7 +274,7 @@ Expected<Cycles, PageAccessError> Pager::FetchInto(PageId page, FrameId frame, C
                    static_cast<std::uint64_t>(RecoveryAction::kRetry));
   }
   frames_.Load(frame, page, now);
-  resident_.emplace(page.value, frame);
+  resident_.Insert(page.value, frame);
   replacement_->OnLoad(frame, page, now);
   if (advice_ != nullptr && advice_->IsKeepResident(page)) {
     frames_.Pin(frame);
@@ -431,17 +425,18 @@ void Pager::Release(PageId page, Cycles now) {
 
 namespace {
 
-void SaveU64Map(SnapshotWriter* w, const std::unordered_map<std::uint64_t, FrameId>& map) {
-  std::vector<std::uint64_t> keys;
-  keys.reserve(map.size());
-  for (const auto& [key, value] : map) {
-    keys.push_back(key);
-  }
-  std::sort(keys.begin(), keys.end());
-  w->U64(keys.size());
-  for (std::uint64_t key : keys) {
-    w->U64(key);
-    w->U64(map.at(key).value);
+// The residency map as (page, frame) pairs sorted by page, so the index's
+// slot order never reaches the bytes.
+void SaveResidency(SnapshotWriter* w, const ResidentIndex& resident) {
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> entries;
+  entries.reserve(resident.size());
+  resident.ForEach(
+      [&](std::uint64_t page, FrameId frame) { entries.emplace_back(page, frame.value); });
+  std::sort(entries.begin(), entries.end());
+  w->U64(entries.size());
+  for (const auto& [page, frame] : entries) {
+    w->U64(page);
+    w->U64(frame);
   }
 }
 
@@ -450,7 +445,7 @@ void SaveU64Map(SnapshotWriter* w, const std::unordered_map<std::uint64_t, Frame
 void Pager::SaveState(SnapshotWriter* w) const {
   frames_.SaveState(w);
   replacement_->SaveState(w);
-  SaveU64Map(w, resident_);
+  SaveResidency(w, resident_);
   std::vector<std::uint64_t> relocated;
   relocated.reserve(slot_of_.size());
   for (const auto& [page, slot] : slot_of_) {
@@ -490,8 +485,7 @@ void Pager::LoadState(SnapshotReader* r) {
   frames_.LoadState(r);
   replacement_->LoadState(r);
   const std::uint64_t resident_count = r->Count(frames_.frame_count());
-  std::unordered_map<std::uint64_t, FrameId> resident;
-  resident.reserve(resident_count);
+  ResidentIndex resident(frames_.frame_count());
   for (std::uint64_t i = 0; i < resident_count && r->ok(); ++i) {
     const std::uint64_t page = r->U64();
     const FrameId frame{r->U64()};
@@ -503,7 +497,7 @@ void Pager::LoadState(SnapshotReader* r) {
       r->Fail(SnapshotErrorKind::kBadValue, "residency map disagrees with the frame table");
       return;
     }
-    if (!resident.emplace(page, frame).second) {
+    if (!resident.Insert(page, frame)) {
       r->Fail(SnapshotErrorKind::kBadValue, "page resident in two frames");
       return;
     }

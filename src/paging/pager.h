@@ -23,6 +23,7 @@
 #include <unordered_map>
 
 #include "src/core/expected.h"
+#include "src/core/resident_index.h"
 #include "src/core/types.h"
 #include "src/mem/backing_store.h"
 #include "src/mem/channel.h"
@@ -143,8 +144,8 @@ class Pager {
   // when the frame is pinned, already retired, or the last usable frame.
   bool RetireFrame(FrameId frame, Cycles now);
 
-  bool IsResident(PageId page) const { return resident_.contains(page.value); }
-  std::optional<FrameId> FrameOf(PageId page) const;
+  bool IsResident(PageId page) const { return resident_.Contains(page.value); }
+  std::optional<FrameId> FrameOf(PageId page) const { return resident_.Find(page.value); }
 
   // Advisory interface (routes through the registry when present).
   void AdviseWillNeed(PageId page);
@@ -204,7 +205,7 @@ class Pager {
   AdviceRegistry* advice_;
   FaultInjector* injector_;
   FrameTable frames_;
-  std::unordered_map<std::uint64_t, FrameId> resident_;
+  ResidentIndex resident_;
   // Pages relocated off their identity slot by permanent slot failures.
   std::unordered_map<std::uint64_t, BackingStore::SlotId> slot_of_;
   LoadCallback on_load_;

@@ -109,8 +109,10 @@ VmReport PagedSegmentedVm::Run(const ReferenceTrace& trace) {
     ++references_;
     clock_.Advance(config_.cycles_per_reference);
     compute_cycles_ += config_.cycles_per_reference;
-    space_time_.Accumulate(pager_->ResidentWords(), config_.cycles_per_reference,
-                           /*waiting=*/false);
+    // Residency changes only inside pager_->Access, and only when it faults
+    // or fails, so one read serves the whole hit path.
+    WordCount resident = pager_->ResidentWords();
+    space_time_.Accumulate(resident, config_.cycles_per_reference, /*waiting=*/false);
 
     const SegmentedName split = Slice(ref.name);
     EnsureSegment(split.segment);
@@ -119,7 +121,7 @@ VmReport PagedSegmentedVm::Run(const ReferenceTrace& trace) {
     Cycles map_cost = first.has_value() ? first->cost : first.error().detection_cost;
     translation_cycles_ += map_cost;
     clock_.Advance(map_cost);
-    space_time_.Accumulate(pager_->ResidentWords(), map_cost, /*waiting=*/false);
+    space_time_.Accumulate(resident, map_cost, /*waiting=*/false);
 
     if (!first.has_value()) {
       const Fault& fault = first.error();
@@ -145,7 +147,8 @@ VmReport PagedSegmentedVm::Run(const ReferenceTrace& trace) {
     }
     const PageAccessOutcome& outcome = *result;
     if (outcome.faulted) {
-      space_time_.Accumulate(pager_->ResidentWords(), outcome.wait_cycles, /*waiting=*/true);
+      resident = pager_->ResidentWords();
+      space_time_.Accumulate(resident, outcome.wait_cycles, /*waiting=*/true);
       clock_.Advance(outcome.wait_cycles);
       wait_cycles_ += outcome.wait_cycles;
 
@@ -153,9 +156,9 @@ VmReport PagedSegmentedVm::Run(const ReferenceTrace& trace) {
       DSA_ASSERT(retry.has_value(), "translation must succeed after the page is loaded");
       translation_cycles_ += retry->cost;
       clock_.Advance(retry->cost);
-      space_time_.Accumulate(pager_->ResidentWords(), retry->cost, /*waiting=*/false);
+      space_time_.Accumulate(resident, retry->cost, /*waiting=*/false);
     }
-    peak_resident_ = std::max(peak_resident_, pager_->ResidentWords());
+    peak_resident_ = std::max(peak_resident_, resident);
   }
 
   VmReport report;

@@ -112,8 +112,10 @@ Cycles PagedLinearVm::Step(const Reference& ref) {
   // Instruction execution.
   clock_.Advance(config_.cycles_per_reference);
   compute_cycles_ += config_.cycles_per_reference;
-  space_time_.Accumulate(pager_->ResidentWords(), config_.cycles_per_reference,
-                         /*waiting=*/false);
+  // Residency changes only inside pager_->Access, and only when it faults or
+  // fails, so one read serves the whole hit path.
+  WordCount resident = pager_->ResidentWords();
+  space_time_.Accumulate(resident, config_.cycles_per_reference, /*waiting=*/false);
 
   if (!names_.Contains(ref.name)) {
     ++bounds_violations_;
@@ -127,7 +129,7 @@ Cycles PagedLinearVm::Step(const Reference& ref) {
   Cycles map_cost = first.has_value() ? first->cost : first.error().detection_cost;
   translation_cycles_ += map_cost;
   clock_.Advance(map_cost);
-  space_time_.Accumulate(pager_->ResidentWords(), map_cost, /*waiting=*/false);
+  space_time_.Accumulate(resident, map_cost, /*waiting=*/false);
 
   if (!first.has_value()) {
     const Fault& fault = first.error();
@@ -155,7 +157,8 @@ Cycles PagedLinearVm::Step(const Reference& ref) {
     // The program occupies storage while awaiting the page — the waiting
     // shading of Fig. 3.  Residency during the wait includes the newly
     // loaded page(s).
-    space_time_.Accumulate(pager_->ResidentWords(), outcome.wait_cycles, /*waiting=*/true);
+    resident = pager_->ResidentWords();
+    space_time_.Accumulate(resident, outcome.wait_cycles, /*waiting=*/true);
     clock_.Advance(outcome.wait_cycles);
     wait_cycles_ += outcome.wait_cycles;
     stall += outcome.wait_cycles;
@@ -165,10 +168,10 @@ Cycles PagedLinearVm::Step(const Reference& ref) {
     DSA_ASSERT(retry.has_value(), "translation must succeed after the page is loaded");
     translation_cycles_ += retry->cost;
     clock_.Advance(retry->cost);
-    space_time_.Accumulate(pager_->ResidentWords(), retry->cost, /*waiting=*/false);
+    space_time_.Accumulate(resident, retry->cost, /*waiting=*/false);
   }
 
-  peak_resident_ = std::max(peak_resident_, pager_->ResidentWords());
+  peak_resident_ = std::max(peak_resident_, resident);
   return stall;
 }
 

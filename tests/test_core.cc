@@ -4,14 +4,18 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <set>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
+#include <vector>
 
 #include "src/core/characteristics.h"
 #include "src/core/clock.h"
 #include "src/core/expected.h"
 #include "src/core/hardware.h"
+#include "src/core/resident_index.h"
 #include "src/core/rng.h"
 #include "src/core/strategy.h"
 #include "src/core/types.h"
@@ -405,6 +409,180 @@ TEST(HardwareFacilityTest, DescribeListsInCatalogueOrder) {
   HardwareFacilitySet set;
   set.Add(HardwareFacility::kInvalidAccessTrapping).Add(HardwareFacility::kAddressMapping);
   EXPECT_EQ(set.Describe(), "address mapping, invalid access trapping");
+}
+
+// --- ResidentIndex -------------------------------------------------------------
+
+// The first `n` keys at or above `from` whose probe starts at `slot`.
+std::vector<std::uint64_t> KeysWithHome(const ResidentIndex& index, std::size_t slot,
+                                        std::size_t n, std::uint64_t from = 0) {
+  std::vector<std::uint64_t> keys;
+  for (std::uint64_t key = from; keys.size() < n; ++key) {
+    if (index.HomeSlot(key) == slot) {
+      keys.push_back(key);
+    }
+  }
+  return keys;
+}
+
+TEST(ResidentIndexTest, SizedOnceToAPowerOfTwoOfFourTimesTheFrames) {
+  EXPECT_EQ(ResidentIndex(0).slot_count(), 2u);
+  EXPECT_EQ(ResidentIndex(1).slot_count(), 4u);
+  EXPECT_EQ(ResidentIndex(5).slot_count(), 32u);
+  EXPECT_EQ(ResidentIndex(8).slot_count(), 32u);
+  EXPECT_EQ(ResidentIndex(4096).slot_count(), 16384u);
+  const ResidentIndex index(8);
+  for (std::uint64_t key : {std::uint64_t{0}, std::uint64_t{1}, ~std::uint64_t{0}}) {
+    EXPECT_LT(index.HomeSlot(key), index.slot_count());
+  }
+}
+
+TEST(ResidentIndexTest, KeysSharingAHomeSlotSurviveEraseFromTheMiddle) {
+  ResidentIndex index(8);
+  const std::vector<std::uint64_t> chain = KeysWithHome(index, 5, 4);
+  for (std::size_t i = 0; i < chain.size(); ++i) {
+    ASSERT_TRUE(index.Insert(chain[i], FrameId{i}));
+  }
+  // A key homed just past the chain's start is displaced behind it; the
+  // backward shift must pull it forward without losing it.
+  const std::uint64_t interloper = KeysWithHome(index, 6, 1).front();
+  ASSERT_TRUE(index.Insert(interloper, FrameId{7}));
+  EXPECT_FALSE(index.Insert(chain[2], FrameId{6}));  // already present: unchanged
+  EXPECT_EQ(index.Find(chain[2]), FrameId{2});
+
+  ASSERT_TRUE(index.Erase(chain[1]));
+  EXPECT_FALSE(index.Erase(chain[1]));
+  EXPECT_FALSE(index.Contains(chain[1]));
+  EXPECT_EQ(index.Find(chain[0]), FrameId{0});
+  EXPECT_EQ(index.Find(chain[2]), FrameId{2});
+  EXPECT_EQ(index.Find(chain[3]), FrameId{3});
+  EXPECT_EQ(index.Find(interloper), FrameId{7});
+  EXPECT_EQ(index.size(), 4u);
+
+  ASSERT_TRUE(index.Erase(chain[0]));
+  ASSERT_TRUE(index.Erase(chain[3]));
+  EXPECT_EQ(index.Find(chain[2]), FrameId{2});
+  EXPECT_EQ(index.Find(interloper), FrameId{7});
+  EXPECT_EQ(index.size(), 2u);
+}
+
+TEST(ResidentIndexTest, ProbeChainsWrapPastTheTableEnd) {
+  ResidentIndex index(8);
+  const std::size_t last = index.slot_count() - 1;
+  // Three keys homed at the last slot fill it and wrap into slots 0 and 1;
+  // a key homed at slot 0 then lands in slot 2.
+  const std::vector<std::uint64_t> wrapped = KeysWithHome(index, last, 3);
+  const std::uint64_t at_zero = KeysWithHome(index, 0, 1).front();
+  for (std::size_t i = 0; i < wrapped.size(); ++i) {
+    ASSERT_TRUE(index.Insert(wrapped[i], FrameId{i}));
+  }
+  ASSERT_TRUE(index.Insert(at_zero, FrameId{3}));
+  for (std::size_t i = 0; i < wrapped.size(); ++i) {
+    EXPECT_EQ(index.Find(wrapped[i]), FrameId{i});
+  }
+  ASSERT_TRUE(index.Erase(wrapped[0]));  // the hole opens at the last slot
+  EXPECT_EQ(index.Find(wrapped[1]), FrameId{1});
+  EXPECT_EQ(index.Find(wrapped[2]), FrameId{2});
+  EXPECT_EQ(index.Find(at_zero), FrameId{3});
+  ASSERT_TRUE(index.Erase(wrapped[2]));
+  EXPECT_EQ(index.Find(wrapped[1]), FrameId{1});
+  EXPECT_EQ(index.Find(at_zero), FrameId{3});
+  ASSERT_TRUE(index.Erase(wrapped[1]));
+  EXPECT_EQ(index.Find(at_zero), FrameId{3});
+  EXPECT_EQ(index.size(), 1u);
+}
+
+TEST(ResidentIndexTest, ExtremeKeysAreOrdinaryKeys) {
+  const std::uint64_t top = ~std::uint64_t{0};
+  ResidentIndex index(4);
+  EXPECT_FALSE(index.Contains(0));  // an empty slot never matches page 0
+  EXPECT_FALSE(index.Erase(0));
+  ASSERT_TRUE(index.Insert(0, FrameId{3}));
+  ASSERT_TRUE(index.Insert(top, FrameId{0}));
+  EXPECT_EQ(index.Find(0), FrameId{3});
+  EXPECT_EQ(index.Find(top), FrameId{0});
+  index.Assign(top, FrameId{2});
+  EXPECT_EQ(index.Find(top), FrameId{2});
+  ASSERT_TRUE(index.Erase(0));
+  EXPECT_FALSE(index.Contains(0));
+  EXPECT_EQ(index.Find(top), FrameId{2});
+  EXPECT_EQ(index.size(), 1u);
+}
+
+TEST(ResidentIndexTest, FillsToTheFrameCountAndEmptiesAgain) {
+  for (std::size_t frames : {std::size_t{1}, std::size_t{5}, std::size_t{8}}) {
+    ResidentIndex index(frames);
+    for (std::size_t f = 0; f < frames; ++f) {
+      ASSERT_TRUE(index.Insert(1000 * f + 17, FrameId{f}));
+    }
+    EXPECT_EQ(index.size(), frames);
+    // At capacity, re-inserting or re-pointing a present page is still fine.
+    EXPECT_FALSE(index.Insert(17, FrameId{0}));
+    index.Assign(17, FrameId{0});
+    for (std::size_t f = 0; f < frames; ++f) {
+      EXPECT_EQ(index.Find(1000 * f + 17), FrameId{f});
+    }
+    for (std::size_t f = 0; f < frames; ++f) {
+      ASSERT_TRUE(index.Erase(1000 * f + 17));
+    }
+    EXPECT_EQ(index.size(), 0u);
+    std::size_t visited = 0;
+    index.ForEach([&](std::uint64_t, FrameId) { ++visited; });
+    EXPECT_EQ(visited, 0u);
+  }
+}
+
+TEST(ResidentIndexTest, SeededStreamMatchesAnUnorderedMapOracle) {
+  for (std::size_t frames : {std::size_t{1}, std::size_t{3}, std::size_t{8}, std::size_t{64}}) {
+    ResidentIndex index(frames);
+    std::unordered_map<std::uint64_t, FrameId> oracle;
+    Rng rng(0x1dc0 + frames);
+    // Keys: small ids, ids crowded onto two home slots (one of them the last,
+    // so chains wrap), and ids at the top of the key space.
+    std::vector<std::uint64_t> pool;
+    for (std::uint64_t k = 0; k < 3 * frames; ++k) {
+      pool.push_back(k);
+      pool.push_back(~std::uint64_t{0} - k);
+    }
+    for (std::size_t slot : {std::size_t{1}, index.slot_count() - 1}) {
+      for (std::uint64_t key : KeysWithHome(index, slot, frames + 2, 1u << 20)) {
+        pool.push_back(key);
+      }
+    }
+    for (int step = 0; step < 20000; ++step) {
+      const std::uint64_t key = pool[rng.Below(pool.size())];
+      const FrameId frame{rng.Below(frames)};
+      const bool present = oracle.contains(key);
+      switch (rng.Below(4)) {
+        case 0:
+          if (present || oracle.size() < frames) {
+            ASSERT_EQ(index.Insert(key, frame), oracle.emplace(key, frame).second);
+          }
+          break;
+        case 1:
+          if (present || oracle.size() < frames) {
+            index.Assign(key, frame);
+            oracle[key] = frame;
+          }
+          break;
+        case 2:
+          ASSERT_EQ(index.Erase(key), oracle.erase(key) == 1);
+          break;
+        default: {
+          const auto it = oracle.find(key);
+          ASSERT_EQ(index.Find(key), it == oracle.end() ? std::nullopt
+                                                        : std::optional<FrameId>{it->second});
+          break;
+        }
+      }
+      ASSERT_EQ(index.size(), oracle.size());
+      if (step % 64 == 0) {
+        std::unordered_map<std::uint64_t, FrameId> seen;
+        index.ForEach([&](std::uint64_t page, FrameId f) { seen.emplace(page, f); });
+        ASSERT_EQ(seen, oracle) << "frames=" << frames << " step=" << step;
+      }
+    }
+  }
 }
 
 }  // namespace

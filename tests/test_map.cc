@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 #include <vector>
 
+#include "src/core/rng.h"
+#include "src/core/snapshot.h"
 #include "src/map/associative_memory.h"
 #include "src/map/block_table.h"
 #include "src/map/mapper.h"
@@ -175,6 +178,78 @@ TEST(AssociativeMemoryTest, ZeroCapacityAlwaysMisses) {
   memory.Insert(1, 10, 0);
   EXPECT_FALSE(memory.Lookup(1, 1).has_value());
   EXPECT_EQ(memory.HitRate(), 0.0);
+}
+
+TEST(AssociativeMemoryTest, LoadRejectsOneKeyInTwoSlots) {
+  AssociativeMemory memory(4);
+  memory.Insert(5, 50, 1);
+  SnapshotWriter w;
+  w.U64(2);
+  for (int i = 0; i < 2; ++i) {
+    w.U64(9);  // the same key twice
+    w.U64(90 + i);
+    w.U64(i);
+  }
+  w.U64(0);
+  w.U64(0);
+  const std::string sealed = w.Seal();
+  SnapshotReader r(sealed);
+  memory.LoadState(&r);
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.error().kind, SnapshotErrorKind::kBadValue);
+  EXPECT_EQ(memory.size(), 1u);
+  EXPECT_EQ(memory.Lookup(5, 2), std::optional<std::uint64_t>{50});
+}
+
+// Pins the memory's observable behaviour over a seeded stream of every
+// operation, with keys that mostly repeat the previous one (the case the
+// recent-slot probe serves) and LoadState rewinds that leave the probe's
+// slot holding another key.  After each step the SaveState bytes and the
+// hit/miss counters are folded into one digest; the pinned value was
+// recorded with the plain linear scan, before Lookup probed the recent slot
+// first.
+TEST(AssociativeMemoryTest, SeededStreamKeepsItsPinnedDigest) {
+  AssociativeMemory memory(8);
+  Rng rng(0xa550c);
+  SnapshotWriter trail;
+  std::string checkpoint;
+  std::uint64_t key = 0;
+  for (Cycles now = 1; now <= 40000; ++now) {
+    if (rng.Below(10) >= 6) {
+      key = rng.Below(14);
+    }
+    const std::uint64_t op = rng.Below(100);
+    if (op < 60) {
+      const std::optional<std::uint64_t> hit = memory.Lookup(key, now);
+      trail.U64(hit.value_or(~std::uint64_t{0}));
+      if (!hit.has_value() && rng.Below(4) != 0) {
+        memory.Insert(key, key * 7 + now, now);  // the fill after a table walk
+      }
+    } else if (op < 78) {
+      memory.Insert(key, rng.Below(1000), now);
+    } else if (op < 92) {
+      memory.Invalidate(key);
+    } else if (op < 93) {
+      memory.InvalidateAll();
+    } else if (op < 97) {
+      SnapshotWriter w;
+      memory.SaveState(&w);
+      checkpoint = w.TakePayload();
+    } else if (!checkpoint.empty()) {
+      SnapshotReader r = SnapshotReader::ForPayload(checkpoint);
+      memory.LoadState(&r);
+      ASSERT_TRUE(r.ok() && r.AtEnd());
+    }
+    SnapshotWriter state;
+    memory.SaveState(&state);
+    trail.U64(Fnv64(state.TakePayload()));
+    trail.U64(memory.hits());
+    trail.U64(memory.misses());
+  }
+  char digest[24];
+  std::snprintf(digest, sizeof(digest), "%016llx",
+                static_cast<unsigned long long>(Fnv64(trail.TakePayload())));
+  EXPECT_STREQ(digest, "f8b9c7a725435906");
 }
 
 // --- PageTableMapper ------------------------------------------------------------------
@@ -361,6 +436,53 @@ TEST(AtlasMapperTest, ClearFrameRevokes) {
   mapper.LoadFrame(FrameId{0}, PageId{1});
   mapper.ClearFrame(FrameId{0});
   EXPECT_FALSE(mapper.Translate(Name{512}, AccessKind::kRead, 0).has_value());
+}
+
+// `payload` (an Atlas SaveState) with register `f` rewritten in place.
+std::string WithRegister(std::string payload, std::size_t f, bool loaded, std::uint64_t page) {
+  const std::size_t at = 8 + f * 9;  // register count, then (bool, u64) per register
+  payload[at] = loaded ? 1 : 0;
+  for (int i = 0; i < 8; ++i) {
+    payload[at + 1 + i] = static_cast<char>((page >> (8 * i)) & 0xff);
+  }
+  return payload;
+}
+
+TEST(AtlasMapperTest, StrictLoadRoundTripsAndRejectsAnEmptyRegisterWithAPage) {
+  AtlasPageRegisterMapper mapper(512, 4);
+  mapper.LoadFrame(FrameId{1}, PageId{9});
+  mapper.LoadFrame(FrameId{3}, PageId{0});
+
+  SnapshotWriter saved;
+  mapper.SaveState(&saved);
+  const std::string good = saved.TakePayload();
+  AtlasPageRegisterMapper restored(512, 4);
+  {
+    SnapshotReader r = SnapshotReader::ForPayload(good);
+    restored.LoadState(&r);
+    ASSERT_TRUE(r.ok() && r.AtEnd()) << r.error().Describe();
+  }
+  SnapshotWriter resaved;
+  restored.SaveState(&resaved);
+  EXPECT_EQ(resaved.TakePayload(), good);
+
+  // Register 0 is empty: with page 6 it would re-serialize as page 0.  Then
+  // register 0 loaded with register 1's page: one page in two registers.
+  for (const std::string& bad : {WithRegister(good, 0, false, 6), WithRegister(good, 0, true, 9)}) {
+    SnapshotReader r = SnapshotReader::ForPayload(bad);
+    restored.LoadState(&r);
+    EXPECT_FALSE(r.ok());
+    EXPECT_EQ(r.error().kind, SnapshotErrorKind::kBadValue);
+  }
+  // A failed load leaves the registers and their index as they were.
+  SnapshotWriter after;
+  restored.SaveState(&after);
+  EXPECT_EQ(after.TakePayload(), good);
+  EXPECT_EQ(restored.Translate(Name{9 * 512 + 1}, AccessKind::kRead, 0)->address,
+            PhysicalAddress{1 * 512 + 1});
+  EXPECT_EQ(restored.Translate(Name{5}, AccessKind::kRead, 0)->address,
+            PhysicalAddress{3 * 512 + 5});
+  EXPECT_FALSE(restored.Translate(Name{6 * 512}, AccessKind::kRead, 0).has_value());
 }
 
 // --- SegmentPageMapper (Fig. 4) -------------------------------------------------------------

@@ -140,6 +140,17 @@ void SnapshotWriter::U32(std::uint32_t v) { AppendLe(&payload_, v, 4); }
 
 void SnapshotWriter::U64(std::uint64_t v) { AppendLe(&payload_, v, 8); }
 
+void SnapshotWriter::U64s(const std::uint64_t* v, std::size_t n) {
+  if constexpr (std::endian::native == std::endian::little) {
+    payload_.append(reinterpret_cast<const char*>(v), n * sizeof(std::uint64_t));
+  } else {
+    char* out = Zeros(n * sizeof(std::uint64_t));
+    for (std::size_t i = 0; i < n; ++i) {
+      StoreU64Le(out + sizeof(std::uint64_t) * i, v[i]);
+    }
+  }
+}
+
 void SnapshotWriter::F64(double v) {
   std::uint64_t bits;
   static_assert(sizeof(bits) == sizeof(v));

@@ -22,7 +22,9 @@
 #ifndef SRC_CORE_SNAPSHOT_H_
 #define SRC_CORE_SNAPSHOT_H_
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <optional>
@@ -65,12 +67,26 @@ struct SnapshotError {
 // their non-zero bytes.
 std::uint64_t Fnv64(std::string_view bytes);
 
+// Stores `v` as the 8 little-endian bytes SnapshotWriter::U64 appends.
+inline void StoreU64Le(char* out, std::uint64_t v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(out, &v, sizeof(v));
+  } else {
+    for (int i = 0; i < 8; ++i) {
+      out[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+    }
+  }
+}
+
 class SnapshotWriter {
  public:
   void U8(std::uint8_t v) { payload_.push_back(static_cast<char>(v)); }
   void Bool(bool v) { U8(v ? 1 : 0); }
   void U32(std::uint32_t v);
   void U64(std::uint64_t v);
+  // The bytes of n U64 calls in one append: a single memcpy on a
+  // little-endian host, a StoreU64Le loop elsewhere.
+  void U64s(const std::uint64_t* v, std::size_t n);
   // Doubles are bit-cast through u64: the simulator's doubles are pure
   // functions of integer state, so bit-exact round-tripping is both
   // achievable and required.
@@ -86,6 +102,17 @@ class SnapshotWriter {
   std::string TakePayload() { return std::move(payload_); }
 
   std::size_t payload_size() const { return payload_.size(); }
+
+  // Grows capacity so `bytes` more append without reallocating.
+  void Reserve(std::size_t bytes) { payload_.reserve(payload_.size() + bytes); }
+
+  // Appends `n` zero bytes and returns their start, for encoders that fill
+  // in only the non-zero fields.  Valid until the next write.
+  char* Zeros(std::size_t n) {
+    const std::size_t at = payload_.size();
+    payload_.resize(at + n);
+    return payload_.data() + at;
+  }
 
  private:
   std::string payload_;

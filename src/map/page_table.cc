@@ -175,9 +175,14 @@ void PageTable::SaveChunk(std::size_t chunk, SnapshotWriter* w) const {
   DSA_ASSERT(chunk < ChunkCount(), "chunk out of range");
   const std::size_t begin = chunk * kChunkEntries;
   const std::size_t end = std::min(begin + kChunkEntries, entries_.size());
-  for (std::size_t i = begin; i < end; ++i) {
-    w->Bool(entries_[i].present);
-    w->U64(entries_[i].frame.value);
+  // An absent entry encodes as kEntryBytes zero bytes (Unmap clears the
+  // frame), so only present entries are written into the zeroed body.
+  char* out = w->Zeros((end - begin) * kEntryBytes);
+  for (std::size_t i = begin; i < end; ++i, out += kEntryBytes) {
+    if (entries_[i].present) {
+      out[0] = 1;
+      StoreU64Le(out + 1, entries_[i].frame.value);
+    }
   }
 }
 
@@ -363,12 +368,13 @@ TranslationResult AtlasPageRegisterMapper::Translate(Name name, AccessKind kind,
 }
 
 void AtlasPageRegisterMapper::LoadFrame(FrameId frame, PageId page) {
-  DSA_ASSERT(frame.value < registers_.size(), "frame out of range");
-  if (registers_[frame.value].has_value()) {
-    frame_of_page_.Erase(registers_[frame.value]->value);
+  ClearFrame(frame);
+  // One page, one register: moving a page empties the register it left.
+  if (const std::optional<FrameId> old = frame_of_page_.Find(page.value)) {
+    ClearFrame(*old);
   }
   registers_[frame.value] = page;
-  frame_of_page_.Assign(page.value, frame);
+  frame_of_page_.Insert(page.value, frame);
 }
 
 void AtlasPageRegisterMapper::ClearFrame(FrameId frame) {

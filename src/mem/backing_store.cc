@@ -9,12 +9,20 @@ namespace dsa {
 Cycles BackingStore::Store(SlotId slot, std::vector<Word> data) {
   DSA_ASSERT(!IsBad(slot), "storing to a retired slot");
   const Cycles cost = level_.TransferTime(data.size());
-  auto it = slots_.find(slot);
-  if (it != slots_.end()) {
-    occupied_words_ -= it->second.size();
-  }
-  occupied_words_ += data.size();
-  slots_[slot] = std::move(data);
+  std::vector<Word>& held = slots_[slot];
+  occupied_words_ = occupied_words_ - held.size() + data.size();
+  held = std::move(data);
+  ++stores_;
+  busy_cycles_ += cost;
+  return cost;
+}
+
+Cycles BackingStore::StoreZeros(SlotId slot, WordCount words) {
+  DSA_ASSERT(!IsBad(slot), "storing to a retired slot");
+  const Cycles cost = level_.TransferTime(words);
+  std::vector<Word>& held = slots_[slot];
+  occupied_words_ = occupied_words_ - held.size() + words;
+  held.assign(words, Word{0});  // reuses the slot's buffer once it is big enough
   ++stores_;
   busy_cycles_ += cost;
   return cost;
@@ -64,21 +72,20 @@ void BackingStore::SaveState(SnapshotWriter* w) const {
     ids.push_back(id);
   }
   std::sort(ids.begin(), ids.end());
+  std::vector<SlotId> bad(bad_slots_.begin(), bad_slots_.end());
+  std::sort(bad.begin(), bad.end());
+  // Every field is a u64: the counts, (id, size) per slot, the words, the
+  // bad ids and the five trailing scalars.
+  w->Reserve(sizeof(std::uint64_t) * (2 + 2 * ids.size() + occupied_words_ + bad.size() + 5));
   w->U64(ids.size());
   for (SlotId id : ids) {
     const std::vector<Word>& words = slots_.at(id);
     w->U64(id);
     w->U64(words.size());
-    for (Word word : words) {
-      w->U64(word);
-    }
+    w->U64s(words.data(), words.size());
   }
-  std::vector<SlotId> bad(bad_slots_.begin(), bad_slots_.end());
-  std::sort(bad.begin(), bad.end());
   w->U64(bad.size());
-  for (SlotId id : bad) {
-    w->U64(id);
-  }
+  w->U64s(bad.data(), bad.size());
   w->U64(next_spare_);
   w->U64(occupied_words_);
   w->U64(stores_);

@@ -43,6 +43,11 @@ class BackingStore {
   // Writes `data` to `slot`, charging transfer time for data.size() words.
   Cycles Store(SlotId slot, std::vector<Word> data);
 
+  // Store() of `words` zero words, written into the slot's own buffer, so
+  // rewriting a slot allocates nothing.  The pagers' write-backs model only
+  // the transfer and use this.
+  Cycles StoreZeros(SlotId slot, WordCount words);
+
   // Reads `words` words of `slot` into `out` (zero-filled when absent),
   // charging transfer time.  A null `out` charges the same time and
   // counters and copies nothing, for callers that model only the transfer.

@@ -1,6 +1,6 @@
 #include "src/obs/export.h"
 
-#include <cstdio>
+#include <charconv>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -12,45 +12,63 @@ namespace dsa {
 
 namespace {
 
+void AppendU64(std::string* out, std::uint64_t value) {
+  char buf[20];  // 2^64 - 1 has 20 digits
+  const char* const end = std::to_chars(buf, buf + sizeof(buf), value).ptr;
+  out->append(buf, static_cast<std::size_t>(end - buf));
+}
+
 void AppendField(std::string* out, const char* name, std::uint64_t value) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), ", \"%s\": %llu", name,
-                static_cast<unsigned long long>(value));
-  out->append(buf);
+  out->append(", \"");
+  out->append(name);
+  out->append("\": ");
+  AppendU64(out, value);
 }
 
 }  // namespace
 
-std::string EventToJson(const TraceEvent& event) {
-  std::string line;
-  char head[96];
-  std::snprintf(head, sizeof(head), "{\"t\": %llu, \"kind\": \"%s\"",
-                static_cast<unsigned long long>(event.time), ToString(event.kind));
-  line.append(head);
+void AppendEventJson(std::string* out, const TraceEvent& event) {
+  out->append("{\"t\": ");
+  AppendU64(out, event.time);
+  out->append(", \"kind\": \"");
+  out->append(ToString(event.kind));
+  out->push_back('"');
   const EventFieldNames names = FieldNamesFor(event.kind);
   if (names.a != nullptr) {
-    AppendField(&line, names.a, event.a);
+    AppendField(out, names.a, event.a);
   }
   if (names.b != nullptr) {
-    AppendField(&line, names.b, event.b);
+    AppendField(out, names.b, event.b);
   }
   if (names.c != nullptr) {
-    AppendField(&line, names.c, event.c);
+    AppendField(out, names.c, event.c);
   }
-  line.append("}");
+  out->push_back('}');
+}
+
+std::string EventToJson(const TraceEvent& event) {
+  std::string line;
+  AppendEventJson(&line, event);
   return line;
 }
 
 void WriteEventsJsonl(const std::vector<TraceEvent>& events, std::ostream* out) {
+  std::string line;
   for (const TraceEvent& event : events) {
-    *out << EventToJson(event) << '\n';
+    line.clear();
+    AppendEventJson(&line, event);
+    line.push_back('\n');
+    out->write(line.data(), static_cast<std::streamsize>(line.size()));
   }
 }
 
 std::string EventsToJsonl(const std::vector<TraceEvent>& events) {
-  std::ostringstream out;
-  WriteEventsJsonl(events, &out);
-  return out.str();
+  std::string lines;
+  for (const TraceEvent& event : events) {
+    AppendEventJson(&lines, event);
+    lines.push_back('\n');
+  }
+  return lines;
 }
 
 void WriteEventsCsv(const std::vector<TraceEvent>& events, std::ostream* out) {

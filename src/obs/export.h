@@ -20,7 +20,11 @@
 
 namespace dsa {
 
-// One event as one JSONL line (no trailing newline).
+// Appends one event as one JSONL line (no trailing newline) — the one
+// encoder every JSONL writer goes through.
+void AppendEventJson(std::string* out, const TraceEvent& event);
+
+// The same line as a fresh string.
 std::string EventToJson(const TraceEvent& event);
 
 // Writes one line per event.

@@ -1,7 +1,5 @@
 #include "src/paging/hierarchy_pager.h"
 
-#include <vector>
-
 #include "src/core/assert.h"
 #include "src/obs/tracer.h"
 
@@ -83,8 +81,7 @@ std::optional<BackingStore::SlotId> HierarchyPager::StorePage(BackingStore& stor
     DSA_TRACE_EMIT(tracer_, EventKind::kTransferStart, page.value, level_index,
                    /*direction=*/1);
     channel.Schedule(store.level(), config_.page_words, now);
-    [[maybe_unused]] const Cycles store_cycles =
-        store.Store(slot, std::vector<Word>(config_.page_words, Word{0}));
+    [[maybe_unused]] const Cycles store_cycles = store.StoreZeros(slot, config_.page_words);
     DSA_TRACE_EMIT(tracer_, EventKind::kTransferComplete, page.value, level_index,
                    store_cycles);
     const TransferFaultKind fault = injector_ != nullptr

@@ -105,11 +105,10 @@ Status<PageAccessError> Pager::WriteBack(PageId page, Cycles now) {
     // program's critical path; later fetches queue behind them.
     DSA_TRACE_EMIT(tracer_, EventKind::kTransferStart, page.value, kBackingLevel,
                    /*direction=*/1);
-    std::vector<Word> data(config_.page_words, Word{0});
     if (channel_ != nullptr) {
       channel_->Schedule(backing_->level(), config_.page_words, now);
     }
-    const Cycles store_cycles = backing_->Store(slot, std::move(data));
+    const Cycles store_cycles = backing_->StoreZeros(slot, config_.page_words);
     stats_.transfer_cycles += store_cycles;
     DSA_TRACE_EMIT(tracer_, EventKind::kTransferComplete, page.value, kBackingLevel,
                    store_cycles);

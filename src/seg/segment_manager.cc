@@ -1,7 +1,6 @@
 #include "src/seg/segment_manager.h"
 
 #include <algorithm>
-#include <vector>
 
 #include "src/core/assert.h"
 #include "src/obs/tracer.h"
@@ -129,11 +128,10 @@ void SegmentManager::Evict(SegmentId victim, Cycles now) {
     ++stats_.writebacks;
     DSA_TRACE_EMIT(tracer_, EventKind::kTransferStart, victim.value, /*level=*/0,
                    /*direction=*/1);
-    std::vector<Word> data(info.extent, Word{0});
     if (channel_ != nullptr) {
       channel_->Schedule(backing_->level(), info.extent, now);
     }
-    [[maybe_unused]] const Cycles store_cycles = backing_->Store(victim.value, std::move(data));
+    [[maybe_unused]] const Cycles store_cycles = backing_->StoreZeros(victim.value, info.extent);
     DSA_TRACE_EMIT(tracer_, EventKind::kTransferComplete, victim.value, /*level=*/0,
                    store_cycles);
     info.has_backing_copy = true;

@@ -361,11 +361,7 @@ Status<SnapshotError> ServiceLoop::AppendPendingEvents(Tenant* t) {
   if (events.empty()) {
     return Ok();
   }
-  std::string lines;
-  for (const TraceEvent& event : events) {
-    lines += EventToJson(event);
-    lines += '\n';
-  }
+  const std::string lines = EventsToJsonl(events);
   // Append at the published watermark: Fs::Append truncates to that offset
   // first, so a torn or retried append lands these bytes exactly once —
   // the committed cut records the returned (64-bit) offset, and the bytes
@@ -586,12 +582,7 @@ void ServiceLoop::WriteIoReport() {
   // never part of the byte-identity contract (the soak diffs exclude it).
   (void)WriteFileAtomic(&io_, config_.out_dir + "/IO.txt", text);
   if (!events.empty()) {
-    std::string lines;
-    for (const TraceEvent& event : events) {
-      lines += EventToJson(event);
-      lines += '\n';
-    }
-    (void)WriteFileAtomic(&io_, config_.out_dir + "/IO.events.jsonl", lines);
+    (void)WriteFileAtomic(&io_, config_.out_dir + "/IO.events.jsonl", EventsToJsonl(events));
   }
 }
 

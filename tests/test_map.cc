@@ -411,6 +411,58 @@ TEST(PageTableStrictLoadTest, AbsentEntryWithAFrameIsABadValue) {
   EXPECT_EQ(PresentCounts(table), before);
 }
 
+// The per-entry encoder SaveChunk replaced, kept as its byte oracle.
+std::string PerEntryChunkBytes(const PageTable& table, std::size_t chunk) {
+  SnapshotWriter w;
+  const std::size_t begin = chunk * kChunk;
+  for (std::size_t i = begin; i < begin + table.chunk_entries(chunk); ++i) {
+    w.Bool(table.entry(PageId{i}).present);
+    w.U64(table.entry(PageId{i}).frame.value);
+  }
+  return w.TakePayload();
+}
+
+void ExpectChunksMatchTheOracle(const PageTable& table) {
+  for (std::size_t k = 0; k < table.ChunkCount(); ++k) {
+    SnapshotWriter w;
+    w.U8(0x5a);  // a prefix, so the chunk lands at an unaligned offset
+    table.SaveChunk(k, &w);
+    std::string expected(1, '\x5a');
+    expected += PerEntryChunkBytes(table, k);
+    EXPECT_EQ(w.TakePayload(), expected) << "chunk " << k;
+  }
+}
+
+TEST(PageTableChunkEncodingTest, PresentFrameZeroAndAShortTailMatchTheOracle) {
+  PageTable table(2 * kChunk + 10);
+  ExpectChunksMatchTheOracle(table);
+  table.Map(PageId{0}, FrameId{0});  // present with frame 0: only the flag is non-zero
+  table.Map(PageId{kChunk - 1}, FrameId{~std::uint64_t{0}});
+  table.Map(PageId{2 * kChunk + 9}, FrameId{1});  // last entry of the 10-entry tail
+  ExpectChunksMatchTheOracle(table);
+  table.Unmap(PageId{0});
+  ExpectChunksMatchTheOracle(table);
+}
+
+TEST(PageTableChunkEncodingTest, SeededPresencePatternsMatchTheOracle) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    PageTable table(3 * kChunk + 77);
+    Rng rng(seed);
+    // Densities from sparse to nearly full, each map/unmap mix re-encoded.
+    for (const std::uint64_t per_mille : {5u, 250u, 900u}) {
+      for (int step = 0; step < 4000; ++step) {
+        const PageId page{rng.Below(table.page_count())};
+        if (rng.Below(1000) < per_mille) {
+          table.Map(page, FrameId{rng.Below(3) == 0 ? 0 : rng.Next()});
+        } else {
+          table.Unmap(page);
+        }
+      }
+      ExpectChunksMatchTheOracle(table);
+    }
+  }
+}
+
 // --- AtlasPageRegisterMapper -------------------------------------------------------------
 
 TEST(AtlasMapperTest, AssociativeSearchMapsDirectly) {
@@ -446,6 +498,36 @@ std::string WithRegister(std::string payload, std::size_t f, bool loaded, std::u
     payload[at + 1 + i] = static_cast<char>((page >> (8 * i)) & 0xff);
   }
   return payload;
+}
+
+// Loading a page another register holds moves it: the old register empties,
+// so clearing that register later cannot unmap the page it no longer holds.
+TEST(AtlasMapperTest, LoadingAHeldPageMovesItOutOfItsOldRegister) {
+  AtlasPageRegisterMapper mapper(512, 4);
+  mapper.LoadFrame(FrameId{0}, PageId{7});
+  mapper.LoadFrame(FrameId{1}, PageId{7});
+
+  // One page, one register: the file saves with register 0 empty and
+  // reloads strictly (a page in two registers would be rejected).
+  SnapshotWriter saved;
+  mapper.SaveState(&saved);
+  const std::string bytes = saved.TakePayload();
+  EXPECT_EQ(bytes, WithRegister(WithRegister(bytes, 0, false, 0), 1, true, 7));
+  AtlasPageRegisterMapper restored(512, 4);
+  SnapshotReader r = SnapshotReader::ForPayload(bytes);
+  restored.LoadState(&r);
+  ASSERT_TRUE(r.ok() && r.AtEnd()) << r.error().Describe();
+
+  mapper.ClearFrame(FrameId{0});
+  const auto t = mapper.Translate(Name{7 * 512 + 3}, AccessKind::kRead, 0);
+  ASSERT_TRUE(t.has_value());
+  EXPECT_EQ(t->address, PhysicalAddress{1 * 512 + 3});
+  // Reloading a page into its own register changes nothing.
+  mapper.LoadFrame(FrameId{1}, PageId{7});
+  EXPECT_EQ(mapper.Translate(Name{7 * 512}, AccessKind::kRead, 0)->address,
+            PhysicalAddress{1 * 512});
+  mapper.ClearFrame(FrameId{1});
+  EXPECT_FALSE(mapper.Translate(Name{7 * 512}, AccessKind::kRead, 0).has_value());
 }
 
 TEST(AtlasMapperTest, StrictLoadRoundTripsAndRejectsAnEmptyRegisterWithAPage) {

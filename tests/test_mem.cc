@@ -3,6 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "src/core/rng.h"
+#include "src/core/snapshot.h"
 #include "src/mem/backing_store.h"
 #include "src/mem/channel.h"
 #include "src/mem/core_store.h"
@@ -166,6 +173,122 @@ TEST(BackingStoreTest, AccountingCountersAdvance) {
   EXPECT_EQ(store.slot_count(), 1u);
 }
 
+// The per-word encoder BackingStore::SaveState replaced, kept as its byte
+// oracle.  It encodes the contents a test tracked through the public API,
+// plus the store's own counters.
+struct BackingModel {
+  std::map<BackingStore::SlotId, std::vector<Word>> slots;
+  std::set<BackingStore::SlotId> bad;
+  BackingStore::SlotId next_spare{BackingStore::kSpareSlotBase};
+};
+
+std::string PerWordBackingBytes(const BackingModel& model, const BackingStore& store) {
+  SnapshotWriter w;
+  w.U64(model.slots.size());
+  WordCount occupied = 0;
+  for (const auto& [id, words] : model.slots) {
+    w.U64(id);
+    w.U64(words.size());
+    for (const Word word : words) {
+      w.U64(word);
+    }
+    occupied += words.size();
+  }
+  w.U64(model.bad.size());
+  for (const BackingStore::SlotId id : model.bad) {
+    w.U64(id);
+  }
+  w.U64(model.next_spare);
+  w.U64(occupied);
+  w.U64(store.stores());
+  w.U64(store.fetches());
+  w.U64(store.busy_cycles());
+  return w.TakePayload();
+}
+
+std::string SavedBytes(const BackingStore& store) {
+  SnapshotWriter w;
+  store.SaveState(&w);
+  return w.TakePayload();
+}
+
+void ExpectSaveMatchesTheOracleAndRoundTrips(const BackingModel& model,
+                                            const BackingStore& store) {
+  const std::string bytes = SavedBytes(store);
+  EXPECT_EQ(bytes, PerWordBackingBytes(model, store));
+  BackingStore reloaded(store.level());
+  SnapshotReader r = SnapshotReader::ForPayload(bytes);
+  reloaded.LoadState(&r);
+  ASSERT_TRUE(r.ok() && r.AtEnd()) << r.error().Describe();
+  EXPECT_EQ(SavedBytes(reloaded), bytes);
+}
+
+TEST(BackingStoreSaveTest, BulkSaveMatchesThePerWordOracle) {
+  BackingStore store(MakeDrumLevel("drum", 1u << 16, 4, 100));
+  BackingModel model;
+  ExpectSaveMatchesTheOracleAndRoundTrips(model, store);
+
+  Rng rng(42);
+  for (const BackingStore::SlotId id : {BackingStore::SlotId{9}, BackingStore::SlotId{2},
+                                        BackingStore::SlotId{1000}, ~BackingStore::SlotId{0}}) {
+    std::vector<Word> words(1 + rng.Below(300));
+    for (Word& word : words) {
+      word = rng.Below(4) == 0 ? 0 : rng.Next();
+    }
+    words.back() = ~Word{0};
+    store.Store(id, words);
+    model.slots[id] = words;
+  }
+  store.Store(5, {});  // a slot that holds no words
+  model.slots[5] = {};
+  store.StoreZeros(6, 32);
+  model.slots[6] = std::vector<Word>(32, Word{0});
+  store.Store(9, {1, 2, 3});  // a rewrite that shrinks the slot
+  model.slots[9] = {1, 2, 3};
+  ExpectSaveMatchesTheOracleAndRoundTrips(model, store);
+
+  for (const BackingStore::SlotId id : {BackingStore::SlotId{2}, BackingStore::SlotId{77}}) {
+    store.MarkBad(id);  // one held content, one never stored
+    model.slots.erase(id);
+    model.bad.insert(id);
+  }
+  for (int i = 0; i < 3; ++i) {
+    const auto spare = store.AllocateSpareSlot(16);
+    ASSERT_TRUE(spare.has_value());
+    model.next_spare = *spare + 1;
+  }
+  store.StoreZeros(model.next_spare - 1, 16);
+  model.slots[model.next_spare - 1] = std::vector<Word>(16, Word{0});
+  std::vector<Word> out;
+  store.Fetch(1000, 8, &out);
+  store.Discard(6);
+  model.slots.erase(6);
+  ExpectSaveMatchesTheOracleAndRoundTrips(model, store);
+}
+
+// StoreZeros is Store of a zero vector: same cycles, counters, content and
+// saved bytes, whether the slot is new, grows, shrinks or held data.
+TEST(BackingStoreSaveTest, StoreZerosMatchesStoringAZeroVector) {
+  const StorageLevel drum = MakeDrumLevel("drum", 4096, 4, 100);
+  BackingStore by_vector(drum);
+  BackingStore in_place(drum);
+  by_vector.Store(3, {11, 22, 33});
+  in_place.Store(3, {11, 22, 33});
+  for (const auto& [slot, words] : std::vector<std::pair<BackingStore::SlotId, WordCount>>{
+           {3, 3}, {3, 64}, {3, 8}, {4, 0}, {4, 16}, {3, 64}}) {
+    EXPECT_EQ(in_place.StoreZeros(slot, words),
+              by_vector.Store(slot, std::vector<Word>(words, Word{0})));
+    EXPECT_EQ(in_place.OccupiedWords(), by_vector.OccupiedWords());
+    EXPECT_EQ(SavedBytes(in_place), SavedBytes(by_vector));
+    std::vector<Word> out;
+    in_place.Fetch(slot, words + 2, &out);
+    EXPECT_EQ(out, std::vector<Word>(words + 2, Word{0}));
+    by_vector.Fetch(slot, words + 2, nullptr);
+  }
+  EXPECT_EQ(in_place.stores(), 7u);
+  EXPECT_EQ(in_place.busy_cycles(), by_vector.busy_cycles());
+}
+
 // --- TransferChannel --------------------------------------------------------------
 
 TEST(TransferChannelTest, IdleChannelStartsImmediately) {
@@ -258,6 +381,12 @@ TEST(BackingStoreDeathTest, StoreToBadSlotAborts) {
   BackingStore store(MakeDrumLevel("drum", 1024, 2, 100));
   store.MarkBad(5);
   EXPECT_DEATH(store.Store(5, std::vector<Word>(4, Word{0})), "retired");
+}
+
+TEST(BackingStoreDeathTest, StoreZerosToBadSlotAborts) {
+  BackingStore store(MakeDrumLevel("drum", 1024, 2, 100));
+  store.MarkBad(5);
+  EXPECT_DEATH(store.StoreZeros(5, 4), "retired");
 }
 
 TEST(BackingStoreDeathTest, FetchFromBadSlotAborts) {

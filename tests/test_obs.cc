@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/obs/export.h"
@@ -117,6 +119,52 @@ TEST(EventExportTest, JsonlUsesPerKindFieldNames) {
   TraceEvent sched{7, EventKind::kScheduleSwitch, kNoJob, 2, 0};
   EXPECT_EQ(EventToJson(sched),
             R"({"t": 7, "kind": "schedule-switch", "from": 18446744073709551615, "to": 2})");
+}
+
+// The snprintf encoder AppendEventJson replaced, kept as its byte oracle.
+std::string SnprintfEventJson(const TraceEvent& event) {
+  char buf[96];
+  std::snprintf(buf, sizeof(buf), "{\"t\": %llu, \"kind\": \"%s\"",
+                static_cast<unsigned long long>(event.time), ToString(event.kind));
+  std::string line = buf;
+  const EventFieldNames names = FieldNamesFor(event.kind);
+  const std::pair<const char*, std::uint64_t> fields[] = {
+      {names.a, event.a}, {names.b, event.b}, {names.c, event.c}};
+  for (const auto& [name, value] : fields) {
+    if (name != nullptr) {
+      std::snprintf(buf, sizeof(buf), ", \"%s\": %llu", name,
+                    static_cast<unsigned long long>(value));
+      line += buf;
+    }
+  }
+  return line + "}";
+}
+
+TEST(EventExportTest, AppendEventJsonMatchesTheSnprintfEncoderForEveryKind) {
+  const std::uint64_t top = ~std::uint64_t{0};
+  std::vector<TraceEvent> events;
+  for (int k = 0; k <= static_cast<int>(EventKind::kServiceRecovered); ++k) {
+    const auto kind = static_cast<EventKind>(k);
+    for (const std::uint64_t v : {std::uint64_t{0}, std::uint64_t{1}, top}) {
+      events.push_back({v, kind, v, v, v});
+    }
+    events.push_back({top, kind, 0, 1, top});
+    events.push_back({1, kind, top, 0, 1});
+  }
+  std::string appended = "prefix";
+  std::string expected = "prefix";
+  std::string jsonl;
+  for (const TraceEvent& event : events) {
+    EXPECT_EQ(EventToJson(event), SnprintfEventJson(event));
+    AppendEventJson(&appended, event);
+    expected += SnprintfEventJson(event);
+    jsonl += SnprintfEventJson(event) + "\n";
+  }
+  EXPECT_EQ(appended, expected);
+  EXPECT_EQ(EventsToJsonl(events), jsonl);
+  std::ostringstream written;
+  WriteEventsJsonl(events, &written);
+  EXPECT_EQ(written.str(), jsonl);
 }
 
 TEST(EventExportTest, JsonlRoundTripsThroughParser) {

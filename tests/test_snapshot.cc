@@ -60,6 +60,49 @@ TEST(SnapshotPrimitivesTest, RoundTripsEveryFieldType) {
   EXPECT_TRUE(r.ok());
 }
 
+// U64s against its oracle, n U64 calls, at aligned and unaligned offsets;
+// Zeros and Reserve add exactly their bytes.
+TEST(SnapshotPrimitivesTest, BulkU64sMatchNSingleCalls) {
+  Rng rng(7);
+  for (const std::size_t n : {0u, 1u, 2u, 7u, 64u, 1000u}) {
+    std::vector<std::uint64_t> values(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      values[i] = i % 3 == 0 ? 0 : (i % 3 == 1 ? ~std::uint64_t{0} : rng.Next());
+    }
+    for (const bool unaligned : {false, true}) {
+      SnapshotWriter bulk;
+      SnapshotWriter oracle;
+      if (unaligned) {
+        bulk.U8(0x11);
+        oracle.U8(0x11);
+      }
+      bulk.Reserve(8 * n);
+      bulk.U64s(values.data(), n);
+      for (const std::uint64_t v : values) {
+        oracle.U64(v);
+      }
+      bulk.U64(n);
+      oracle.U64(n);
+      EXPECT_EQ(bulk.TakePayload(), oracle.TakePayload()) << n << " words";
+    }
+  }
+}
+
+TEST(SnapshotPrimitivesTest, ZerosAppendsZeroBytesInPlace) {
+  SnapshotWriter w;
+  w.U8(0xab);
+  char* run = w.Zeros(9);
+  StoreU64Le(run + 1, 0x0102030405060708ULL);
+  w.Zeros(0);
+  w.U8(0xcd);
+  SnapshotWriter oracle;
+  oracle.U8(0xab);
+  oracle.U8(0);
+  oracle.U64(0x0102030405060708ULL);
+  oracle.U8(0xcd);
+  EXPECT_EQ(w.TakePayload(), oracle.TakePayload());
+}
+
 TEST(SnapshotPrimitivesTest, SealIsDeterministic) {
   auto build = [] {
     SnapshotWriter w;

@@ -1,16 +1,14 @@
 // Lane-scaling curve of the concurrent multi-lane simulator.
 //
 // Runs a fixed 8-group installation (mixed schedulers, two page sizes, one
-// fault-injected group — every group an independent MultiprogrammingSimulator
-// contending for the shared lock-free heap) at 1, 2, and 4 lanes, plus the
-// hardware width in full mode, and records the wall-clock curve in
-// BENCH_concurrent.json.  Two properties are checked, one hard and one
+// fault-injected group — every group an independent MultiprogrammingSimulator)
+// through RunLaneGroups at 1, 2, and 4 lanes, plus the hardware width in full
+// mode, and records the wall-clock curve in BENCH_concurrent.json.  Two properties are checked, one hard and one
 // hardware-gated (the bench_parallel discipline, one level down):
 //
 //   identity   every lanes>1 run must produce per-group event JSONL, merged
 //              metrics, and merged renamed event streams BYTE-identical to
-//              lanes=1, and the shared heap must balance to zero blocks
-//              outstanding — violation exits non-zero at any lane count;
+//              lanes=1 — violation exits non-zero at any lane count;
 //   speedup    on a machine with >= 4 hardware threads, the full-length run
 //              at 4 lanes must be >= 2x faster than serial.  Skipped in
 //              --quick mode and on narrower machines (a 1-core container
@@ -20,9 +18,6 @@
 // so the stripped BENCH_concurrent.quick.json is a valid value-diff
 // reference on any machine (diff_bench.sh).  The full file adds the
 // hardware width and is structure-diffed only (strip_timing.py --structure).
-// CAS-retry/refill counts are genuine contention measurements — they vary
-// run to run by design and live on the "contention" line, which
-// strip_timing.py drops whole.
 //
 // Usage: bench_concurrent [--quick] [--out PATH]
 
@@ -79,8 +74,9 @@ std::vector<dsa::LaneGroupSpec> BuildGroups(std::size_t job_length) {
       params.iterations = 3;
       params.length = job_length;
       params.seed = 0xc0ccu * 1000003 + g * 131 + j;
-      spec.jobs.emplace_back("g" + std::to_string(g) + "-j" + std::to_string(j),
-                             dsa::MakeLoopTrace(params));
+      std::string name = "g";
+      name += std::to_string(g) + "-j" + std::to_string(j);
+      spec.jobs.emplace_back(std::move(name), dsa::MakeLoopTrace(params));
     }
     groups.push_back(std::move(spec));
   }
@@ -103,8 +99,6 @@ struct LanePoint {
   double seconds{0.0};
   double speedup{1.0};
   bool identical{true};
-  std::uint64_t cas_retries{0};
-  std::uint64_t escalations{0};
 };
 
 }  // namespace
@@ -142,24 +136,20 @@ int main(int argc, char** argv) {
     total_refs += spec.jobs.size() * job_length;
   }
 
-  std::printf("== bench_concurrent: multi-lane shared-heap scaling ==\n");
+  std::printf("== bench_concurrent: multi-lane scaling ==\n");
   std::printf("   groups=%zu job_refs=%zu hardware_concurrency=%u (%s)\n\n", kGroups,
               job_length, hardware, quick ? "quick" : "full");
-  std::printf("  %6s %9s %12s %8s %10s %12s\n", "lanes", "seconds", "refs/sec",
-              "speedup", "identical", "cas_retries");
+  std::printf("  %6s %9s %12s %8s %10s\n", "lanes", "seconds", "refs/sec", "speedup",
+              "identical");
 
   std::string serial_bytes;
-  std::uint64_t blocks_acquired = 0;
   std::uint64_t total_cycles = 0;
   std::uint64_t faults = 0;
   std::vector<LanePoint> points;
   bool all_identical = true;
-  bool balanced = true;
   for (const unsigned lanes : lane_counts) {
-    dsa::MultiLaneConfig config;
-    config.lanes = lanes;
     const auto start = std::chrono::steady_clock::now();
-    const dsa::MultiLaneOutcome outcome = dsa::MultiLaneSimulator(config, groups).Run();
+    const dsa::MultiLaneOutcome outcome = dsa::RunLaneGroups(groups, lanes);
     LanePoint point;
     point.lanes = lanes;
     point.seconds = Elapsed(start);
@@ -168,25 +158,19 @@ int main(int argc, char** argv) {
       serial_bytes = bytes;
       total_cycles = 0;
       faults = 0;
-      blocks_acquired = 0;
       for (const dsa::LaneGroupResult& group : outcome.groups) {
         total_cycles += group.report.total_cycles;
         faults += group.report.faults;
-        blocks_acquired += group.blocks_acquired;
       }
     }
     point.identical = bytes == serial_bytes;
     all_identical = all_identical && point.identical;
-    balanced = balanced && outcome.heap_outstanding == 0;
-    point.cas_retries = outcome.heap_stats.cas_retries;
-    point.escalations = outcome.heap_stats.escalations;
     point.speedup = point.seconds > 0.0 && !points.empty()
                         ? points.front().seconds / point.seconds
                         : 1.0;
-    std::printf("  %6u %9.3f %12.0f %8.2f %10s %12llu\n", point.lanes, point.seconds,
+    std::printf("  %6u %9.3f %12.0f %8.2f %10s\n", point.lanes, point.seconds,
                 point.seconds > 0 ? static_cast<double>(total_refs) / point.seconds : 0.0,
-                point.speedup, point.identical ? "yes" : "NO",
-                static_cast<unsigned long long>(point.cas_retries));
+                point.speedup, point.identical ? "yes" : "NO");
     points.push_back(point);
   }
 
@@ -213,11 +197,10 @@ int main(int argc, char** argv) {
   // identity gate makes these the same numbers lanes=1 produced).
   std::fprintf(out,
                "  \"work\": {\"total_refs\": %llu, \"total_cycles\": %llu, "
-               "\"faults\": %llu, \"blocks_acquired\": %llu},\n",
+               "\"faults\": %llu},\n",
                static_cast<unsigned long long>(total_refs),
                static_cast<unsigned long long>(total_cycles),
-               static_cast<unsigned long long>(faults),
-               static_cast<unsigned long long>(blocks_acquired));
+               static_cast<unsigned long long>(faults));
   std::fprintf(out, "  \"lanes\": [\n");
   for (std::size_t i = 0; i < points.size(); ++i) {
     const LanePoint& point = points[i];
@@ -230,27 +213,15 @@ int main(int argc, char** argv) {
                  i + 1 < points.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n");
-  // Contention telemetry (per final lane width): genuinely nondeterministic
-  // under threads; strip_timing.py drops this line whole.
   std::fprintf(out,
-               "  \"contention\": {\"cas_retries\": %llu, \"escalations\": %llu},\n",
-               static_cast<unsigned long long>(points.back().cas_retries),
-               static_cast<unsigned long long>(points.back().escalations));
-  std::fprintf(out,
-               "  \"summary\": {\"identical_at_every_width\": %s, "
-               "\"heap_balanced\": %s, \"speedup\": %.3f}\n}\n",
-               all_identical ? "true" : "false", balanced ? "true" : "false",
-               speedup_at_4);
+               "  \"summary\": {\"identical_at_every_width\": %s, \"speedup\": %.3f}\n}\n",
+               all_identical ? "true" : "false", speedup_at_4);
   std::fclose(out);
   std::printf("\n  wrote %s\n", out_path.c_str());
 
   if (!all_identical) {
     std::fprintf(stderr,
                  "multi-lane run diverged from the serial run — determinism broken\n");
-    return 1;
-  }
-  if (!balanced) {
-    std::fprintf(stderr, "shared heap left blocks outstanding after drain\n");
     return 1;
   }
   if (!quick && hardware >= 4 && speedup_at_4 < 2.0) {

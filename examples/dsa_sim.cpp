@@ -58,10 +58,10 @@
 //     --crash-after N         abandon the service (exit 137, no flush) after
 //                             N checkpoint commits — the deterministic kill
 //                             point scripts/soak_resume.sh drives
-//     --lanes N               scheduler lanes for --serve: step up to N active
-//                             tenants concurrently over one shared lock-free
-//                             storage heap ('hw' = hardware width; default 1;
-//                             0 is rejected as ambiguous).  Outputs are
+//     --lanes N               scheduler lanes for --serve: step the active
+//                             tenants concurrently on N threads ('hw' =
+//                             hardware width; default 1; 0 is rejected as
+//                             ambiguous).  Outputs are
 //                             byte-identical at any lane count
 //     --io-fault-at K         durable-IO fault injection: fail the K-th file
 //                             operation (1-based) of this process.  Applies

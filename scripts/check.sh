@@ -39,9 +39,8 @@ done
 # engages on >= 4 hardware threads and in full (non-quick) runs.
 (cd build && ./bench/bench_parallel --quick)
 # bench_concurrent exits non-zero if any lane width of the multi-lane
-# simulator perturbs the output bytes or the shared lock-free heap leaks
-# blocks; like bench_parallel, its speedup gate engages only on >= 4
-# hardware threads in full runs.
+# simulator perturbs the output bytes; like bench_parallel, its speedup gate
+# engages only on >= 4 hardware threads in full runs.
 (cd build && ./bench/bench_concurrent --quick)
 # bench_alloc exits non-zero if segregated-fit stops beating best-fit on
 # mean allocation cycles at equal-or-better external fragmentation on the

@@ -37,7 +37,7 @@ mkdir -p build/bench_diff
 # identical bytes or diverges when stepped past the restore point.
 ./build/bench/bench_resume --quick --out build/bench_diff/resume.json > /dev/null
 # bench_concurrent exits non-zero if any lane width diverges from the serial
-# bytes or the shared heap leaks blocks; its quick lane list {1,2,4} is fixed
+# bytes; its quick lane list {1,2,4} is fixed
 # so the stripped output is a cross-machine value-diff reference.
 ./build/bench/bench_concurrent --quick --out build/bench_diff/concurrent.json > /dev/null
 ./build/bench/bench_parallel --quick --out build/bench_diff/parallel.json > /dev/null

@@ -4,11 +4,9 @@
 Usage: strip_timing.py [--structure] FILE   (writes to stdout)
 
 The quick bench outputs are deterministic except for a few timing fields
-and two machine-context lines: "seconds" and "refs_per_sec" are dropped,
+and one machine-context line: "seconds" and "refs_per_sec" are dropped,
 "speedup" is nulled, and the "host" header object (core count, run mode —
-written by bench/bench_meta.h) and the "contention" object (CAS-retry and
-escalation telemetry from bench_concurrent — genuine thread-interleaving
-measurements, nondeterministic by design) are removed whole.  Everything
+written by bench/bench_meta.h) is removed whole.  Everything
 left must be bit-identical on every machine, so diff_bench.sh can compare
 a fresh run against the committed BENCH_*.quick.json references.
 
@@ -38,9 +36,8 @@ _NUM = r"(?:[0-9.eE+-]+|null)"
 _DROPPED = ("seconds", "refs_per_sec", "save_seconds", "load_seconds",
             "delta_save_seconds", "delta_load_seconds")
 _NULLED = ("speedup",)
-# Header objects removed as whole lines (machine context or thread-contention
-# telemetry, not results).
-_DROPPED_LINES = ("host", "contention")
+# Header objects removed as whole lines (machine context, not results).
+_DROPPED_LINES = ("host",)
 
 
 def strip_timing(text: str) -> str:

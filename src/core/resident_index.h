@@ -64,10 +64,19 @@ class ResidentIndex {
 
   // Adds page -> frame; returns false (and changes nothing) when the page is
   // already present.
-  bool Insert(std::uint64_t page, FrameId frame) { return Put(page, frame, false); }
-
-  // Adds page -> frame, or re-points an existing page at `frame`.
-  void Assign(std::uint64_t page, FrameId frame) { Put(page, frame, true); }
+  bool Insert(std::uint64_t page, FrameId frame) {
+    DSA_ASSERT(frame.value != kEmpty, "frame id collides with the empty-slot sentinel");
+    std::size_t i = HomeSlot(page);
+    for (; slots_[i].frame != kEmpty; i = (i + 1) & mask_) {
+      if (slots_[i].page == page) {
+        return false;
+      }
+    }
+    DSA_ASSERT(size_ < max_size_, "residency index holds more pages than frames");
+    slots_[i] = Slot{page, frame.value};
+    ++size_;
+    return true;
+  }
 
   // Removes `page`; returns false when it was not present.
   bool Erase(std::uint64_t page) {
@@ -112,23 +121,6 @@ class ResidentIndex {
     std::uint64_t page{0};
     std::uint64_t frame{kEmpty};
   };
-
-  bool Put(std::uint64_t page, FrameId frame, bool overwrite) {
-    DSA_ASSERT(frame.value != kEmpty, "frame id collides with the empty-slot sentinel");
-    std::size_t i = HomeSlot(page);
-    for (; slots_[i].frame != kEmpty; i = (i + 1) & mask_) {
-      if (slots_[i].page == page) {
-        if (overwrite) {
-          slots_[i].frame = frame.value;
-        }
-        return overwrite;
-      }
-    }
-    DSA_ASSERT(size_ < max_size_, "residency index holds more pages than frames");
-    slots_[i] = Slot{page, frame.value};
-    ++size_;
-    return true;
-  }
 
   std::size_t max_size_;
   std::size_t size_{0};

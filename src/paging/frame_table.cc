@@ -3,7 +3,6 @@
 #include "src/core/assert.h"
 #include "src/core/snapshot.h"
 #include "src/obs/tracer.h"
-#include "src/paging/backing_binder.h"
 
 namespace dsa {
 
@@ -18,12 +17,6 @@ FrameTable::FrameTable(std::size_t frames)
   // Both lists start empty: the sentinel points at itself.
   fifo_[frames] = Link{frames, frames};
   lru_[frames] = Link{frames, frames};
-}
-
-void FrameTable::SetBackingBinder(FrameBackingBinder* binder) {
-  DSA_ASSERT(binder == nullptr || occupied_ == 0,
-             "backing binder must attach to an empty frame table");
-  binder_ = binder;
 }
 
 const FrameInfo& FrameTable::info(FrameId frame) const {
@@ -114,9 +107,6 @@ void FrameTable::Load(FrameId frame, PageId page, Cycles now) {
   ++occupied_;
   ListPushBack(fifo_, frame.value);
   ListPushBack(lru_, frame.value);
-  if (binder_ != nullptr) {
-    binder_->AcquireFrameBlock(frame);
-  }
   DSA_TRACE_EMIT(tracer_, EventKind::kFrameLoad, page.value, frame.value);
 }
 
@@ -130,9 +120,6 @@ void FrameTable::Evict(FrameId frame) {
   --occupied_;
   ListRemove(fifo_, frame.value);
   ListRemove(lru_, frame.value);
-  if (binder_ != nullptr) {
-    binder_->ReleaseFrameBlock(frame);
-  }
 }
 
 void FrameTable::Touch(FrameId frame, Cycles now, bool write, Cycles idle_threshold) {
@@ -288,16 +275,6 @@ void FrameTable::LoadState(SnapshotReader* r) {
   retired_ = retired;
   fifo_ = std::move(fifo);
   lru_ = std::move(lru);
-  if (binder_ != nullptr) {
-    // The restored occupancy replaces whatever the binder held; rebind from
-    // scratch so it again holds exactly one block per occupied frame.
-    binder_->ReleaseAllFrameBlocks();
-    for (std::size_t f = 0; f < frames_.size(); ++f) {
-      if (frames_[f].occupied) {
-        binder_->AcquireFrameBlock(FrameId{f});
-      }
-    }
-  }
 }
 
 std::vector<FrameId> FrameTable::EvictionCandidates() const {

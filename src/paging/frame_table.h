@@ -28,7 +28,6 @@
 namespace dsa {
 
 class EventTracer;
-class FrameBackingBinder;
 class SnapshotReader;
 class SnapshotWriter;
 
@@ -52,14 +51,6 @@ class FrameTable {
   // frame-retire events (stamped by the tracer's watermark clock, since the
   // table itself never sees the simulated time of Evict and RetireFrame).
   void SetTracer(EventTracer* tracer) { tracer_ = tracer; }
-
-  // Attaches the shared-storage binder (src/paging/backing_binder.h): from
-  // here on, every vacant→occupied transition acquires a physical backing
-  // block and every occupied→vacant transition releases one, so concurrent
-  // lanes genuinely contend for the shared heap.  Must be attached while the
-  // table is empty (fresh construction) — the binder's ledger starts at zero
-  // bindings.  LoadState rebinds from scratch on success.
-  void SetBackingBinder(FrameBackingBinder* binder);
 
   std::size_t frame_count() const { return frames_.size(); }
   std::size_t occupied_count() const { return occupied_; }
@@ -147,7 +138,6 @@ class FrameTable {
   std::optional<FrameId> FirstUnpinned(const std::vector<Link>& list) const;
 
   EventTracer* tracer_{nullptr};
-  FrameBackingBinder* binder_{nullptr};
   std::vector<FrameInfo> frames_;
   std::vector<FrameId> free_;
   std::size_t occupied_{0};

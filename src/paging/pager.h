@@ -121,11 +121,6 @@ class Pager {
     on_evict_ = std::move(on_evict);
   }
 
-  // Attaches the shared-storage binder (forwarded to the frame table): every
-  // frame this pager occupies is then backed by a block from the shared
-  // concurrent heap.  Attach before the first access.
-  void SetBackingBinder(FrameBackingBinder* binder) { frames_.SetBackingBinder(binder); }
-
   // Restricts which page ids the fetch policy may bring in speculatively
   // (e.g. keys past the end of a segment's page table).  Demanded pages are
   // assumed valid by construction.

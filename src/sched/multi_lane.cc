@@ -1,12 +1,9 @@
 #include "src/sched/multi_lane.h"
 
-#include <algorithm>
-#include <deque>
-#include <map>
 #include <sstream>
 
-#include "src/exec/lane_binder.h"
-#include "src/exec/thread_pool.h"
+#include "src/core/assert.h"
+#include "src/exec/sweep_runner.h"
 #include "src/obs/export.h"
 #include "src/obs/merge.h"
 #include "src/obs/metrics.h"
@@ -20,31 +17,19 @@ std::size_t GroupFrames(const LaneGroupSpec& spec) {
   return static_cast<std::size_t>(spec.config.core_words / spec.config.page_words);
 }
 
-// Runs one group on the calling lane, drawing frame backing through `arena`.
-LaneGroupResult RunGroup(const LaneGroupSpec& spec, ConcurrentFixedHeap* heap,
-                         LaneArena* arena) {
+// Runs one group on the calling lane.
+LaneGroupResult RunGroup(const LaneGroupSpec& spec) {
   LaneGroupResult result;
   result.label = spec.label;
 
   EventTracer tracer(/*capacity=*/0);
-  LaneFrameBinder binder(heap, static_cast<std::size_t>(spec.config.page_words));
-  binder.SetArena(arena);
-  {
-    MultiprogramConfig config = spec.config;
-    config.tracer = &tracer;
-    config.backing_binder = &binder;
-    MultiprogrammingSimulator sim(config);
-    for (const auto& [label, trace] : spec.jobs) {
-      sim.AddJob(label, trace);
-    }
-    result.report = sim.Run();
+  MultiprogramConfig config = spec.config;
+  config.tracer = &tracer;
+  MultiprogrammingSimulator sim(config);
+  for (const auto& [label, trace] : spec.jobs) {
+    sim.AddJob(label, trace);
   }
-  // The simulator is gone; blocks still bound to its end-of-run residency go
-  // back through the arena before the ledger is read, so acquired==released
-  // is the per-group conservation invariant.
-  binder.ReleaseAllFrameBlocks();
-  result.blocks_acquired = binder.acquired_total();
-  result.blocks_released = binder.released_total();
+  result.report = sim.Run();
 
   result.events = tracer.Snapshot();
   std::ostringstream jsonl;
@@ -61,59 +46,15 @@ void FillGroupRegistry(const LaneGroupResult& result, MetricsRegistry* registry)
   registry->GetCounter("mp/faults")->Set(result.report.faults);
   registry->GetCounter("mp/deactivations")->Set(result.report.deactivations);
   registry->GetCounter("mp/reactivations")->Set(result.report.reactivations);
-  registry->GetCounter("heap/blocks_acquired")->Set(result.blocks_acquired);
-  registry->GetCounter("heap/blocks_released")->Set(result.blocks_released);
 }
 
 }  // namespace
 
-MultiLaneSimulator::MultiLaneSimulator(MultiLaneConfig config,
-                                       std::vector<LaneGroupSpec> groups)
-    : config_(config), groups_(std::move(groups)) {
-  DSA_ASSERT(!groups_.empty(), "MultiLaneSimulator: no job groups");
-}
-
-MultiLaneOutcome MultiLaneSimulator::Run() {
-  const unsigned lanes = std::max(1u, config_.lanes);
-
-  // Size the shared heap for exact worst-case demand (every group fully
-  // resident at once) plus the slack lanes can strand in arena caches.
-  std::map<std::size_t, std::size_t> demand;  // block words -> frames
-  for (const LaneGroupSpec& spec : groups_) {
-    demand[static_cast<std::size_t>(spec.config.page_words)] += GroupFrames(spec);
-  }
-  std::vector<HeapClassSpec> classes;
-  classes.reserve(demand.size());
-  for (const auto& [words, frames] : demand) {
-    classes.push_back(HeapClassSpec{words, frames + lanes * config_.high_watermark});
-  }
-  ConcurrentFixedHeap heap(classes);
-
-  std::deque<LaneArena> arenas;  // deque: LaneArena is pinned (alignas, no copies)
-  for (unsigned lane = 0; lane < lanes; ++lane) {
-    arenas.emplace_back(&heap, config_.refill_batch, config_.high_watermark);
-  }
-
+MultiLaneOutcome RunLaneGroups(const std::vector<LaneGroupSpec>& groups, unsigned lanes) {
+  DSA_ASSERT(!groups.empty(), "RunLaneGroups: no job groups");
   MultiLaneOutcome outcome;
-  outcome.groups.resize(groups_.size());
-
-  // Groups are dealt to lanes round-robin by index.  A lane body owns its
-  // arena exclusively; results land in spec-indexed slots, so scheduling
-  // and completion order are invisible in the output (the SweepRunner
-  // discipline, applied one level down).
-  ThreadPool pool(lanes);
-  pool.ParallelFor(lanes, [&](std::size_t lane) {
-    for (std::size_t g = lane; g < groups_.size(); g += lanes) {
-      outcome.groups[g] = RunGroup(groups_[g], &heap, &arenas[lane]);
-    }
-  });
-
-  // Post-barrier: arenas return their cached blocks; the heap must balance.
-  for (LaneArena& arena : arenas) {
-    arena.Drain();
-  }
-  outcome.heap_outstanding = heap.OutstandingApprox();
-  outcome.heap_stats = heap.stats();
+  outcome.groups = SweepRunner(lanes).Run(
+      groups.size(), [&](std::size_t g) { return RunGroup(groups[g]); });
 
   // Merges, all in spec order.
   MetricsRegistry merged;
@@ -125,17 +66,17 @@ MultiLaneOutcome MultiLaneSimulator::Run() {
   outcome.merged_metrics_table = merged.RenderTable();
 
   std::vector<std::vector<TraceEvent>> renamed;
-  renamed.reserve(groups_.size());
+  renamed.reserve(groups.size());
   std::uint64_t frame_offset = 0;
   std::uint64_t job_offset = 0;
-  for (std::size_t g = 0; g < groups_.size(); ++g) {
+  for (std::size_t g = 0; g < groups.size(); ++g) {
     StreamOffsets offsets;
     offsets.frame_offset = frame_offset;
     offsets.job_offset = job_offset;
     offsets.page_job_shift = MultiprogrammingSimulator::kJobShift;
     renamed.push_back(OffsetEventStream(outcome.groups[g].events, offsets));
-    frame_offset += GroupFrames(groups_[g]);
-    job_offset += groups_[g].jobs.size();
+    frame_offset += GroupFrames(groups[g]);
+    job_offset += groups[g].jobs.size();
   }
   outcome.merged_events = MergeEventStreams(renamed);
   outcome.total_frames = static_cast<std::size_t>(frame_offset);

@@ -1,26 +1,21 @@
 // Multi-lane multiprogramming: several scheduler lanes stepping disjoint job
-// groups CONCURRENTLY while contending for one shared physical store.
+// groups concurrently, merged into one simulated installation.
 //
-// The sweep executor (src/exec/sweep_runner.h) parallelises *across*
-// independent simulations; this module pushes threads *inside* one simulated
+// The sweep executor (src/exec/sweep_runner.h) parallelises across
+// independent simulations; this module uses it for the groups of one
 // installation.  Each LaneGroupSpec is a job group with its own
-// MultiprogrammingSimulator (scheduler, pager, frame table, tracer); lanes
-// execute the groups concurrently, and every frame any group occupies is
-// backed by a block from a shared lock-free ConcurrentFixedHeap, drawn
-// through the executing lane's LaneArena (src/exec/concurrent_heap.h).  The
-// shared heap is the one genuinely contended structure — the Blelloch & Wei
-// style CAS stacks make that contention lock-free.
+// MultiprogrammingSimulator (scheduler, pager, frame table, tracer), and
+// RunLaneGroups evaluates the groups as SweepRunner cells.
 //
-// Determinism argument, in three steps:
-//   1. Each group's simulation is a pure function of its spec: the binder
-//      hooks return no value into the simulation, so which physical block
-//      backs a frame can never influence a scheduling, replacement, or
-//      fault decision.
-//   2. Group outputs land in spec-indexed slots; merging (registry fold,
-//      event-stream merge) happens after the barrier, in group order.
-//   3. Therefore lanes=1 and lanes=N produce byte-identical group reports,
-//      JSONL streams, and merged tables — the property test_lane_equivalence
-//      pins, and bench_concurrent re-checks on every run.
+// Determinism argument, in two steps:
+//   1. Each cell touches only its own group: the simulation is a pure
+//      function of its spec, with a private tracer, and its result lands in
+//      the group's index slot.
+//   2. Merging (registry fold, event-stream merge) happens after the
+//      barrier, in spec order.
+// Therefore lanes=1 and lanes=N produce byte-identical group reports, JSONL
+// streams, and merged tables — the property test_lane_equivalence pins, and
+// bench_concurrent re-checks on every run.
 //
 // The merged event stream is renamed into one global namespace per group
 // (OffsetEventStream: disjoint frame, job, and page ids) so the whole
@@ -35,28 +30,18 @@
 #include <utility>
 #include <vector>
 
-#include "src/exec/concurrent_heap.h"
 #include "src/obs/event.h"
 #include "src/sched/multiprogramming.h"
 
 namespace dsa {
 
 // One job group: an independent MultiprogrammingSimulator configuration plus
-// its jobs.  `config.tracer` and `config.backing_binder` are overwritten by
-// the runner (each group gets a private tracer and a shared-heap binder).
+// its jobs.  `config.tracer` is overwritten by the runner (each group gets a
+// private tracer).
 struct LaneGroupSpec {
   std::string label;
   MultiprogramConfig config;
   std::vector<std::pair<std::string, ReferenceTrace>> jobs;
-};
-
-struct MultiLaneConfig {
-  // Physical execution width.  Groups are dealt to lanes round-robin by
-  // index; 1 = today's serial loop (the golden-parity baseline).
-  unsigned lanes{1};
-  // Arena tuning, forwarded to every LaneArena.
-  std::size_t refill_batch{LaneArena::kDefaultRefillBatch};
-  std::size_t high_watermark{LaneArena::kDefaultHighWatermark};
 };
 
 struct LaneGroupResult {
@@ -64,11 +49,6 @@ struct LaneGroupResult {
   MultiprogramReport report;
   std::vector<TraceEvent> events;  // group-local entity ids
   std::string events_jsonl;        // the events, serialised
-  // The binder's conservation ledger: pure functions of the simulated
-  // load/evict sequence, so byte-stable at any lane width (unlike the
-  // pool's CAS-retry counts, which are genuine contention measurements).
-  std::uint64_t blocks_acquired{0};
-  std::uint64_t blocks_released{0};
 };
 
 struct MultiLaneOutcome {
@@ -80,23 +60,11 @@ struct MultiLaneOutcome {
   std::vector<TraceEvent> merged_events;
   std::size_t total_frames{0};
   std::size_t total_jobs{0};
-  // Shared-heap accounting after the run: outstanding must be zero (every
-  // binder and arena drained), stats are contention telemetry only.
-  std::uint64_t heap_outstanding{0};
-  ConcurrentFixedHeap::Stats heap_stats;
 };
 
-class MultiLaneSimulator {
- public:
-  MultiLaneSimulator(MultiLaneConfig config, std::vector<LaneGroupSpec> groups);
-
-  // Runs every group to completion (concurrently when lanes > 1) and merges.
-  MultiLaneOutcome Run();
-
- private:
-  MultiLaneConfig config_;
-  std::vector<LaneGroupSpec> groups_;
-};
+// Runs every group to completion, `lanes` groups at a time (1: a serial
+// loop in spec order), and merges the results in spec order.
+MultiLaneOutcome RunLaneGroups(const std::vector<LaneGroupSpec>& groups, unsigned lanes);
 
 }  // namespace dsa
 

@@ -71,9 +71,6 @@ MultiprogrammingSimulator::MultiprogrammingSimulator(MultiprogramConfig config)
                                    std::make_unique<DemandFetch>(), /*advice=*/nullptr,
                                    injector_.get());
   pager_->SetTracer(config_.tracer);
-  if (config_.backing_binder != nullptr) {
-    pager_->SetBackingBinder(config_.backing_binder);
-  }
 
   // Track per-job residency through the pager's load/evict notifications.
   pager_->SetResidencyCallbacks(

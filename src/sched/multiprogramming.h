@@ -74,11 +74,6 @@ struct MultiprogramConfig {
   // and the scheduler emits kScheduleSwitch on every dispatch change plus
   // kLoadControl / kJobDeactivate / kJobReactivate for controller activity.
   EventTracer* tracer{nullptr};
-  // Optional shared-storage binder (not owned); attached to the shared
-  // pager's frame table so this simulator's frames draw physical backing
-  // blocks from a concurrent heap shared with other lanes.  Null: frames
-  // are purely notional, as before.
-  FrameBackingBinder* backing_binder{nullptr};
 };
 
 struct JobReport {

@@ -63,57 +63,6 @@ std::uint64_t SpecFingerprint(const SystemSpec& spec) {
   return Fnv64(canon);
 }
 
-std::string SealTenantCheckpoint(const TenantCheckpointMeta& meta, const PagedLinearVm& vm) {
-  SnapshotWriter w;
-  w.Str(meta.tenant);
-  w.U64(meta.spec_fingerprint);
-  w.U64(meta.trace_fingerprint);
-  w.U64(meta.trace_size);
-  w.U64(meta.next_ref);
-  w.U64(meta.events_published);
-  w.U64(meta.jsonl_bytes);
-  vm.SaveState(&w);
-  return w.Seal();
-}
-
-Expected<TenantCheckpointMeta, SnapshotError> OpenTenantCheckpoint(
-    std::string_view sealed, std::uint64_t spec_fingerprint,
-    std::uint64_t trace_fingerprint, std::uint64_t trace_size, PagedLinearVm* vm) {
-  SnapshotReader r(sealed);
-  TenantCheckpointMeta meta;
-  meta.tenant = r.Str();
-  meta.spec_fingerprint = r.U64();
-  meta.trace_fingerprint = r.U64();
-  meta.trace_size = r.U64();
-  meta.next_ref = r.U64();
-  meta.events_published = r.U64();
-  meta.jsonl_bytes = r.U64();
-  if (r.ok() && meta.spec_fingerprint != spec_fingerprint) {
-    r.Fail(SnapshotErrorKind::kBadValue,
-           "checkpoint was taken under a different system spec");
-  }
-  if (r.ok() && meta.trace_fingerprint != trace_fingerprint) {
-    r.Fail(SnapshotErrorKind::kBadValue,
-           "checkpoint was taken against a different trace");
-  }
-  if (r.ok() && meta.trace_size != trace_size) {
-    r.Fail(SnapshotErrorKind::kBadValue, "checkpoint trace length disagrees");
-  }
-  if (r.ok() && meta.next_ref > trace_size) {
-    r.Fail(SnapshotErrorKind::kBadValue, "checkpoint cursor past the trace end");
-  }
-  if (r.ok()) {
-    vm->LoadState(&r);
-  }
-  if (r.ok() && !r.AtEnd()) {
-    r.Fail(SnapshotErrorKind::kBadValue, "trailing bytes after the VM state");
-  }
-  if (!r.ok()) {
-    return MakeUnexpected(r.error());
-  }
-  return meta;
-}
-
 std::string SealTenantCheckpointSections(const TenantCheckpointMeta& meta,
                                          const PagedLinearVm& vm,
                                          const SectionBaseline* baseline,

@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "src/core/snapshot.h"
@@ -39,19 +38,7 @@ struct TenantCheckpointMeta {
 // consumes.  Two specs with equal fingerprints build identical systems.
 std::uint64_t SpecFingerprint(const SystemSpec& spec);
 
-// Meta + full VM state, sealed into one snapshot container.
-std::string SealTenantCheckpoint(const TenantCheckpointMeta& meta, const PagedLinearVm& vm);
-
-// Loads `sealed` into `vm`, which must be freshly Reset() and built from
-// the spec whose fingerprint is `spec_fingerprint`.  Rejects (typed, never
-// aborts) container corruption, fingerprint or trace-size mismatches, a
-// cursor past the trace end, and trailing payload garbage.
-Expected<TenantCheckpointMeta, SnapshotError> OpenTenantCheckpoint(
-    std::string_view sealed, std::uint64_t spec_fingerprint,
-    std::uint64_t trace_fingerprint, std::uint64_t trace_size, PagedLinearVm* vm);
-
-// --- sectioned (delta-capable) tenant checkpoints ---
-// The same meta + VM state, framed as sections: a "meta" section followed by
+// Meta + full VM state, framed as sections: a "meta" section followed by
 // the VM's sections (see PagedLinearVm::SaveSections).  With a null
 // `baseline` every section is inline (a full cut); with a baseline, sections
 // whose content hash matches collapse to refs (a delta cut).  `digest_out`,
@@ -63,9 +50,12 @@ std::string SealTenantCheckpointSections(const TenantCheckpointMeta& meta,
                                          SectionBaseline* digest_out);
 
 // Restores a tenant from a checkpoint chain — links[0] a full sectioned
-// seal, later links deltas — with OpenTenantCheckpoint's identity checks
-// plus whole-chain validation: a mis-chained delta fails kBadChecksum, an
-// unconsumed or missing section fails kBadValue.
+// seal, later links deltas — into `vm`, which must be freshly Reset() and
+// built from the spec whose fingerprint is `spec_fingerprint`.  Rejects
+// (typed, never aborts) container corruption, fingerprint or trace-size
+// mismatches, and a cursor past the trace end; whole-chain validation adds
+// that a mis-chained delta fails kBadChecksum, and an unconsumed or missing
+// section fails kBadValue.
 Expected<TenantCheckpointMeta, SnapshotError> OpenTenantCheckpointChain(
     const std::vector<std::string>& links, std::uint64_t spec_fingerprint,
     std::uint64_t trace_fingerprint, std::uint64_t trace_size, PagedLinearVm* vm);

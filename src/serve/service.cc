@@ -40,17 +40,8 @@ ServiceLoop::ServiceLoop(SystemSpec base_spec, ServeConfig config)
       store_(config_.checkpoint_dir, &io_),
       controller_(config_.load_control, spec_.core_words, spec_.page_words),
       lanes_(std::max(1u, config_.lanes == 0 ? HardwareJobs() : config_.lanes)),
-      tenant_frames_(static_cast<std::size_t>(
-          spec_.page_words == 0 ? 0 : spec_.core_words / spec_.page_words)),
-      heap_({HeapClassSpec{static_cast<std::size_t>(std::max<WordCount>(1, spec_.page_words)),
-                           lanes_ * LaneArena::kDefaultHighWatermark}}) {
+      runner_(lanes_) {
   spec_.tracer = nullptr;  // tenants own their tracers
-  for (unsigned lane = 0; lane < lanes_; ++lane) {
-    arenas_.emplace_back(&heap_);
-  }
-  if (lanes_ > 1) {
-    pool_ = std::make_unique<ThreadPool>(lanes_);
-  }
 }
 
 std::string ServiceLoop::EventsPath(const Tenant& t) const {
@@ -64,15 +55,6 @@ std::string ServiceLoop::ReportPath(const Tenant& t) const {
 std::unique_ptr<PagedLinearVm> ServiceLoop::BuildVm(Tenant* t) {
   PagedVmConfig config = PagedConfigFromSpec(spec_);
   config.tracer = &t->tracer;
-  if (t->binder == nullptr) {
-    // First incarnation of this tenant: grow the shared heap by its exact
-    // worst-case frame demand.  This is a serial point (admission/restore),
-    // which GrowSerial's quiescence contract requires.
-    t->binder = std::make_unique<LaneFrameBinder>(
-        &heap_, static_cast<std::size_t>(spec_.page_words));
-    heap_.GrowSerial(0, tenant_frames_);
-  }
-  config.frame_binder = t->binder.get();
   return std::make_unique<PagedLinearVm>(config);
 }
 
@@ -631,19 +613,9 @@ Expected<ServeOutcome, SnapshotError> ServiceLoop::Run() {
     const std::size_t active = std::min(concurrency_, steppable.size());
     const bool concurrent_round = lanes_ > 1 && active > 1;
     if (concurrent_round) {
-      // Deal the active tenants to lanes round-robin; each lane steps its
-      // share through its own arena, then the barrier.  Block identity never
-      // feeds back into the simulation, so any interleaving of heap CASes
-      // leaves every tenant's trajectory bit-identical to the serial round.
-      const std::size_t width = std::min<std::size_t>(lanes_, active);
-      pool_->ParallelFor(width, [&](std::size_t lane) {
-        for (std::size_t i = lane; i < active; i += width) {
-          Tenant* t = steppable[i];
-          t->binder->SetArena(&arenas_[lane]);
-          StepSlice(t);
-          t->binder->SetArena(nullptr);
-        }
-      });
+      // Each active tenant is one cell; a cell touches only its own tenant,
+      // so every trajectory is bit-identical to the serial round.
+      runner_.ForEach(active, [&](std::size_t i) { StepSlice(steppable[i]); });
     }
     bool force_flush = false;
     for (std::size_t i = 0; i < active; ++i) {

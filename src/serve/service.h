@@ -38,7 +38,6 @@
 #define SRC_SERVE_SERVICE_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <utility>
@@ -46,9 +45,7 @@
 
 #include "src/core/fsio.h"
 #include "src/core/snapshot.h"
-#include "src/exec/concurrent_heap.h"
-#include "src/exec/lane_binder.h"
-#include "src/exec/thread_pool.h"
+#include "src/exec/sweep_runner.h"
 #include "src/obs/metrics.h"
 #include "src/obs/tracer.h"
 #include "src/sched/load_control.h"
@@ -90,11 +87,11 @@ struct ServeConfig {
   // --drain mode (serve only what was spooled at startup, then exit).
   bool rescan_spool{true};
   // Scheduler lanes: how many threads step active tenants concurrently
-  // within one round (0: hardware width).  Every tenant's frames draw
-  // backing blocks from one shared lock-free heap through per-lane arenas;
-  // the detector feed is buffered per tenant and replayed serially in
-  // admission order after the round's barrier, so output is byte-identical
-  // at every lane count — lanes=1 runs the pre-lanes serial loop verbatim.
+  // within one round (0: hardware width).  Each tenant is one SweepRunner
+  // cell that touches only its own state; the detector feed is buffered per
+  // tenant and replayed serially in admission order after the round's
+  // barrier, so output is byte-identical at every lane count — lanes=1 runs
+  // the serial loop verbatim.
   // Checkpoint commits sit between rounds and stay the natural barrier.
   unsigned lanes{1};
   // Durable-IO seam: every file op the service performs (spool admission,
@@ -153,10 +150,6 @@ class ServiceLoop {
     std::uint64_t jsonl_bytes{0};
     SpaceTime last_space_time;  // detector feed watermark
     bool done{false};
-    // Shared-storage binding: one block per resident frame, drawn from the
-    // service's ConcurrentFixedHeap (through the stepping lane's arena
-    // during parallel rounds, directly otherwise).
-    std::unique_ptr<LaneFrameBinder> binder;
     // Per-step (cycle delta, stall) pairs buffered by StepSlice on the
     // stepping lane and replayed into the thrashing detector serially, in
     // admission order — the trick that keeps the controller's view, and so
@@ -182,8 +175,8 @@ class ServiceLoop {
 
   void RunSlice(Tenant* t);
   // The two halves of RunSlice for concurrent rounds: StepSlice is
-  // parallel-safe (touches only tenant-owned state plus the lock-free
-  // heap), ReplayFeed is serial-only (service clock + detector).
+  // parallel-safe (touches only tenant-owned state), ReplayFeed is
+  // serial-only (service clock + detector).
   void StepSlice(Tenant* t);
   void ReplayFeed(Tenant* t);
   Status<SnapshotError> FinishTenant(Tenant* t);
@@ -222,15 +215,8 @@ class ServiceLoop {
   CheckpointStore store_;
   LoadController controller_;
 
-  // Shared storage for every tenant's frames; declared before tenants_ so
-  // tenant binders release their blocks before the heap dies.  The heap
-  // grows by one tenant's frame demand at each admission (a serial point),
-  // seeded with the slack lanes can strand in arena caches.
   unsigned lanes_;
-  std::size_t tenant_frames_;
-  ConcurrentFixedHeap heap_;
-  std::deque<LaneArena> arenas_;  // one per lane; pinned in place
-  std::unique_ptr<ThreadPool> pool_;  // created when lanes_ > 1
+  SweepRunner runner_;  // steps a concurrent round's tenants
 
   std::vector<std::unique_ptr<Tenant>> tenants_;  // admission order
   std::vector<std::string> seen_;                 // admitted + rejected names

@@ -4,7 +4,6 @@
 
 #include "src/core/assert.h"
 #include "src/core/snapshot.h"
-#include "src/paging/backing_binder.h"
 #include "src/paging/fetch.h"
 
 namespace dsa {
@@ -60,12 +59,6 @@ void PagedLinearVm::Reset() {
                                    std::move(replacement), std::move(fetch), advice_.get(),
                                    injector_.get());
   pager_->SetTracer(config_.tracer);
-  if (config_.frame_binder != nullptr) {
-    // Blocks held for the torn-down pager go back first; the fresh table
-    // then re-acquires as pages load.
-    config_.frame_binder->ReleaseAllFrameBlocks();
-    pager_->SetBackingBinder(config_.frame_binder);
-  }
 
   switch (config_.mapper) {
     case PagedMapperKind::kPageTable: {

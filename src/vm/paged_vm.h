@@ -56,13 +56,6 @@ struct PagedVmConfig {
   // frame table on Reset.  Null: no tracing.
   EventTracer* tracer{nullptr};
 
-  // Optional shared-storage binder (not owned); attached to the pager's
-  // frame table on Reset, so this VM's resident frames are backed by blocks
-  // from a heap shared across concurrent lanes.  Reset first drops any
-  // blocks the binder still holds for the torn-down pager.  Null: frames
-  // are purely notional.
-  FrameBackingBinder* frame_binder{nullptr};
-
   // Compute cost of one reference besides mapping (instruction execution).
   Cycles cycles_per_reference{1};
   // Reported allocation-unit flavour: a machine with more than one frame

@@ -10,8 +10,8 @@
 // acceptance floor is 32).  DSA_SOAK_FULL=1 lengthens every job trace for
 // overnight soaking; the default sizing keeps the suite in CI range.  A
 // concurrent-lanes axis additionally packages the config x fault cells as
-// job groups over the multi-lane executor (shared lock-free heap) at lanes
-// 1, 2, and 4, pinning byte-equality and verifier-cleanliness under chaos.
+// job groups run through RunLaneGroups at lanes 1, 2, and 4, pinning
+// byte-equality and verifier-cleanliness under chaos.
 //
 // The 36 cells are independent (each owns its simulator, tracer, and seed
 // stream), so they run sharded over the SweepRunner — DSA_JOBS workers,
@@ -230,9 +230,8 @@ TEST(ChaosSoakTest, MatrixSurvivesVerifierAndReplay) {
 TEST(ChaosSoakTest, ConcurrentLanesSurviveFaultsAndStayByteIdentical) {
   // The concurrent-lanes axis: the same overload + fault-injection chaos,
   // but with the matrix's config cells packaged as job groups stepped
-  // CONCURRENTLY over one shared lock-free heap.  Every lane width must
-  // reproduce the lanes=1 bytes, every group stream must replay through the
-  // verifier, and the shared heap must balance to zero after the run.
+  // CONCURRENTLY.  Every lane width must reproduce the lanes=1 bytes, and
+  // every group stream must replay through the verifier.
   std::vector<LaneGroupSpec> groups;
   std::size_t index = 0;
   for (const ControlCase& control : kControls) {
@@ -259,8 +258,7 @@ TEST(ChaosSoakTest, ConcurrentLanesSurviveFaultsAndStayByteIdentical) {
     }
   }
 
-  const MultiLaneOutcome reference =
-      MultiLaneSimulator(MultiLaneConfig{.lanes = 1}, groups).Run();
+  const MultiLaneOutcome reference = RunLaneGroups(groups, 1);
   for (std::size_t g = 0; g < groups.size(); ++g) {
     SCOPED_TRACE(groups[g].label);
     TraceVerifierConfig verifier_config;
@@ -269,13 +267,10 @@ TEST(ChaosSoakTest, ConcurrentLanesSurviveFaultsAndStayByteIdentical) {
     const auto violations =
         TraceReplayVerifier(verifier_config).Verify(reference.groups[g].events);
     EXPECT_TRUE(violations.empty()) << TraceReplayVerifier::Describe(violations);
-    EXPECT_EQ(reference.groups[g].blocks_acquired,
-              reference.groups[g].blocks_released);
   }
 
   for (const unsigned lanes : {2u, 4u}) {
-    const MultiLaneOutcome outcome =
-        MultiLaneSimulator(MultiLaneConfig{.lanes = lanes}, groups).Run();
+    const MultiLaneOutcome outcome = RunLaneGroups(groups, lanes);
     ASSERT_EQ(outcome.groups.size(), reference.groups.size());
     for (std::size_t g = 0; g < groups.size(); ++g) {
       SCOPED_TRACE("lanes=" + std::to_string(lanes) + " " + groups[g].label);
@@ -283,12 +278,9 @@ TEST(ChaosSoakTest, ConcurrentLanesSurviveFaultsAndStayByteIdentical) {
       EXPECT_EQ(outcome.groups[g].report.total_cycles,
                 reference.groups[g].report.total_cycles);
       EXPECT_EQ(outcome.groups[g].report.faults, reference.groups[g].report.faults);
-      EXPECT_EQ(outcome.groups[g].blocks_acquired,
-                reference.groups[g].blocks_acquired);
     }
     EXPECT_EQ(outcome.merged_metrics_table, reference.merged_metrics_table);
     EXPECT_EQ(outcome.merged_events, reference.merged_events);
-    EXPECT_EQ(outcome.heap_outstanding, 0u) << "lanes=" << lanes;
   }
 }
 

@@ -501,11 +501,9 @@ TEST(ResidentIndexTest, ExtremeKeysAreOrdinaryKeys) {
   ASSERT_TRUE(index.Insert(top, FrameId{0}));
   EXPECT_EQ(index.Find(0), FrameId{3});
   EXPECT_EQ(index.Find(top), FrameId{0});
-  index.Assign(top, FrameId{2});
-  EXPECT_EQ(index.Find(top), FrameId{2});
   ASSERT_TRUE(index.Erase(0));
   EXPECT_FALSE(index.Contains(0));
-  EXPECT_EQ(index.Find(top), FrameId{2});
+  EXPECT_EQ(index.Find(top), FrameId{0});
   EXPECT_EQ(index.size(), 1u);
 }
 
@@ -516,9 +514,8 @@ TEST(ResidentIndexTest, FillsToTheFrameCountAndEmptiesAgain) {
       ASSERT_TRUE(index.Insert(1000 * f + 17, FrameId{f}));
     }
     EXPECT_EQ(index.size(), frames);
-    // At capacity, re-inserting or re-pointing a present page is still fine.
+    // At capacity, re-inserting a present page is still refused cleanly.
     EXPECT_FALSE(index.Insert(17, FrameId{0}));
-    index.Assign(17, FrameId{0});
     for (std::size_t f = 0; f < frames; ++f) {
       EXPECT_EQ(index.Find(1000 * f + 17), FrameId{f});
     }
@@ -553,19 +550,13 @@ TEST(ResidentIndexTest, SeededStreamMatchesAnUnorderedMapOracle) {
       const std::uint64_t key = pool[rng.Below(pool.size())];
       const FrameId frame{rng.Below(frames)};
       const bool present = oracle.contains(key);
-      switch (rng.Below(4)) {
+      switch (rng.Below(3)) {
         case 0:
           if (present || oracle.size() < frames) {
             ASSERT_EQ(index.Insert(key, frame), oracle.emplace(key, frame).second);
           }
           break;
         case 1:
-          if (present || oracle.size() < frames) {
-            index.Assign(key, frame);
-            oracle[key] = frame;
-          }
-          break;
-        case 2:
           ASSERT_EQ(index.Erase(key), oracle.erase(key) == 1);
           break;
         default: {

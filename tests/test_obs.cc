@@ -443,7 +443,9 @@ TEST(MetricsRegistryTest, HandlesStayValidAcrossGrowth) {
   MetricsRegistry registry;
   MetricCounter* first = registry.GetCounter("first");
   for (int i = 0; i < 100; ++i) {
-    registry.GetCounter("c" + std::to_string(i));
+    std::string name = "c";
+    name += std::to_string(i);
+    registry.GetCounter(name);
   }
   first->Increment(7);
   EXPECT_EQ(registry.CounterValue("first"), 7u);

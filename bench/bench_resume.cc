@@ -4,24 +4,26 @@
 // working-set trace far enough to populate the frame table, allocator,
 // binmaps, and metrics with real mid-run state, then measures:
 //
-//   state_bytes     the sealed snapshot size (deterministic — part of the
-//                   committed reference; growth should track frame count.
-//                   The 24-bit address mapper's page table sets a constant
-//                   floor, so the per-frame slope sits on a large base)
+//   state_bytes     the full sectioned seal (SealFull, no baseline) at the
+//                   mid-run cut (deterministic — part of the committed
+//                   reference; growth should track frame count.  The 24-bit
+//                   address mapper's page table sets a constant floor, so
+//                   the per-frame slope sits on a large base)
 //   save_seconds    wall-clock to serialize + seal, best of several reps
-//   load_seconds    wall-clock to verify + restore into a fresh instance
+//                   (reps after the first take unchanged page-table chunks
+//                   from the mapper's chunk cache, as a service's repeated
+//                   cuts do)
+//   load_seconds    wall-clock to resolve + restore into a fresh instance
 //
-// On top of the flat measurements each cell runs the DELTA curve: a
-// sectioned full cut is sealed and digested, the VM re-steps a steady-state
-// stretch of trace (the resident working set, so only touched page-table
-// chunks and the pager/clock/tally sections go stale), and a delta cut is
-// sealed against the digest:
+// On top of the mid-run measurements each cell runs the DELTA curve: a full
+// cut at the end of the trace is sealed and digested, the VM re-steps a
+// steady-state stretch of trace (the resident working set, so only touched
+// page-table chunks and the pager/clock/tally sections go stale), and a
+// delta cut is sealed against the digest:
 //
-//   full_bytes          sectioned full seal size (slightly above state_bytes
-//                       — section names + framing)
+//   full_bytes          the end-of-trace full seal, the delta's baseline
 //   delta_bytes         delta seal size after the steady-state stretch
-//   delta_save_seconds  best-of-reps delta serialize + seal (dirty-chunk
-//                       caching should put this well under save_seconds)
+//   delta_save_seconds  best-of-reps delta serialize + seal
 //   delta_load_seconds  resolve [full, delta] chain + restore a fresh VM
 //
 // The gate is the property the service mode stands on, checked in every
@@ -105,6 +107,34 @@ struct Cell {
   bool gate_ok{false};
 };
 
+// The full sectioned seal of `vm`'s current state: a standalone snapshot.
+std::string SealFull(const dsa::PagedLinearVm& vm) {
+  dsa::SectionedSnapshotWriter w;
+  vm.SaveSections(&w);
+  return w.SealFull();
+}
+
+// Restores `vm` from a checkpoint chain (one full seal, then any deltas);
+// reports and returns false on any resolve or load error.
+bool Restore(dsa::PagedLinearVm* vm, const std::vector<std::string>& chain,
+             std::size_t frames) {
+  auto resolved = dsa::ResolveSectionChain(chain);
+  if (!resolved.has_value()) {
+    std::fprintf(stderr, "bench_resume: chain resolve failed at %zu frames: %s\n",
+                 frames, resolved.error().Describe().c_str());
+    return false;
+  }
+  dsa::SectionSource& src = resolved.value();
+  vm->LoadSections(&src);
+  src.FailIfUnopened();
+  if (!src.ok()) {
+    std::fprintf(stderr, "bench_resume: restore failed at %zu frames: %s\n",
+                 frames, src.error().Describe().c_str());
+    return false;
+  }
+  return true;
+}
+
 // The >=5x delta compression gate applies where the page table dominates
 // the snapshot; above this the pager's recency lists (stale on every
 // reference) dominate the dirty set and the ratio honestly sits near 3x.
@@ -129,9 +159,7 @@ Cell RunCell(std::size_t frames, std::size_t refs, int reps) {
   double best_save = 0;
   for (int rep = 0; rep < reps; ++rep) {
     const double t0 = Now();
-    dsa::SnapshotWriter w;
-    vm.SaveState(&w);
-    sealed = w.Seal();
+    sealed = SealFull(vm);
     const double dt = Now() - t0;
     if (rep == 0 || dt < best_save) {
       best_save = dt;
@@ -141,16 +169,14 @@ Cell RunCell(std::size_t frames, std::size_t refs, int reps) {
   cell.save_seconds = best_save;
 
   // Load cost: header verification + full restore into a fresh instance.
+  const std::vector<std::string> chain{sealed};
   double best_load = 0;
   for (int rep = 0; rep < reps; ++rep) {
     dsa::PagedLinearVm fresh(dsa::PagedConfigFromSpec(spec));
     const double t0 = Now();
-    dsa::SnapshotReader r(sealed);
-    fresh.LoadState(&r);
+    const bool restored_ok = Restore(&fresh, chain, frames);
     const double dt = Now() - t0;
-    if (!r.ok() || !r.AtEnd()) {
-      std::fprintf(stderr, "bench_resume: load failed at %zu frames: %s\n",
-                   frames, r.error().Describe().c_str());
+    if (!restored_ok) {
       return cell;
     }
     if (rep == 0 || dt < best_load) {
@@ -161,16 +187,10 @@ Cell RunCell(std::size_t frames, std::size_t refs, int reps) {
 
   // Gate 1: the restored instance re-serializes to the identical bytes.
   dsa::PagedLinearVm restored(dsa::PagedConfigFromSpec(spec));
-  {
-    dsa::SnapshotReader r(sealed);
-    restored.LoadState(&r);
-    if (!r.ok() || !r.AtEnd()) {
-      return cell;
-    }
+  if (!Restore(&restored, chain, frames)) {
+    return cell;
   }
-  dsa::SnapshotWriter again;
-  restored.SaveState(&again);
-  if (again.Seal() != sealed) {
+  if (SealFull(restored) != sealed) {
     std::fprintf(stderr,
                  "bench_resume: GATE: restored state re-serializes "
                  "differently at %zu frames\n",
@@ -226,25 +246,14 @@ Cell RunCell(std::size_t frames, std::size_t refs, int reps) {
   cell.delta_save_seconds = best_delta_save;
 
   // Restore through the [full, delta] chain, best-of-reps timing.
+  const std::vector<std::string> delta_chain{full_sealed, delta_sealed};
   double best_delta_load = 0;
   for (int rep = 0; rep < reps; ++rep) {
     dsa::PagedLinearVm chained(dsa::PagedConfigFromSpec(spec));
     const double t0 = Now();
-    auto resolved = dsa::ResolveSectionChain({full_sealed, delta_sealed});
-    if (!resolved.has_value()) {
-      std::fprintf(stderr, "bench_resume: delta chain resolve failed at %zu "
-                   "frames: %s\n",
-                   frames, resolved.error().Describe().c_str());
-      return cell;
-    }
-    dsa::SectionSource src = std::move(resolved.value());
-    chained.LoadSections(&src);
-    src.FailIfUnopened();
+    const bool restored_ok = Restore(&chained, delta_chain, frames);
     const double dt = Now() - t0;
-    if (!src.ok()) {
-      std::fprintf(stderr, "bench_resume: delta restore failed at %zu "
-                   "frames: %s\n",
-                   frames, src.error().Describe().c_str());
+    if (!restored_ok) {
       return cell;
     }
     if (rep == 0 || dt < best_delta_load) {
@@ -253,11 +262,7 @@ Cell RunCell(std::size_t frames, std::size_t refs, int reps) {
     if (rep + 1 == reps) {
       // Gate 3: the chain-restored VM re-seals (sectioned full) to the
       // identical bytes as the stepped original.
-      dsa::SectionedSnapshotWriter lhs;
-      vm.SaveSections(&lhs);
-      dsa::SectionedSnapshotWriter rhs;
-      chained.SaveSections(&rhs);
-      cell.delta_identical = lhs.SealFull() == rhs.SealFull();
+      cell.delta_identical = SealFull(vm) == SealFull(chained);
       if (!cell.delta_identical) {
         std::fprintf(stderr,
                      "bench_resume: GATE: delta-chain restore diverged at "

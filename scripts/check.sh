@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Tier-1 verification plus quick throughput and degradation sanity runs.
+# Tier-1 verification plus quick runs of the gated and diffed benches.
 #
 #   scripts/check.sh              # configure, build, ctest by label, benches
 #   DSA_SANITIZE=address scripts/check.sh   # same, under ASan
@@ -29,6 +29,8 @@ for label in unit golden property soak resume faultpoint stress; do
   # following -L flag and run the whole suite unfiltered.
   (cd build && ctest --output-on-failure --no-tests=error -j "$(nproc)" -L "${label}")
 done
+# bench_throughput has no gate: it reports whole-simulator refs/s, and
+# scripts/diff_bench.sh diffs its fault counts.
 ./build/bench/bench_throughput --quick --out build/BENCH_throughput.quick.json
 ./build/bench/bench_degradation --quick --out build/BENCH_degradation.quick.json
 # bench_overload exits non-zero if the thrashing cliff disappears or the

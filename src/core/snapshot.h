@@ -192,9 +192,9 @@ struct SectionBaseline {
   bool empty() const { return hashes.empty(); }
 };
 
-// Builds a sectioned snapshot.  Components stream into Begin()'s writer just
-// like the flat SaveState path; cached pre-serialized bodies go in via
-// Section() without re-encoding.
+// Builds a sectioned snapshot.  Components stream into Begin()'s writer
+// through their own SaveState(SnapshotWriter*); cached pre-serialized bodies
+// go in via Section() without re-encoding.
 //
 // Hashing contract: each section's fnv64 is computed at most once per writer
 // and shared by Digest() and SealDelta(), and a body handed in with its hash

@@ -43,8 +43,9 @@ class AddressMapper {
                : static_cast<double>(translation_cycles_) / static_cast<double>(translations_);
   }
 
-  // The shared accounting block, serialized by every concrete mapper's
-  // SaveState/LoadState alongside its own state.
+  // The shared accounting block, serialized by each checkpointable mapper
+  // (the page-table mapper's map.head section, the Atlas register file)
+  // alongside its own state.
   void SaveAccounting(SnapshotWriter* w) const {
     w->U64(translations_);
     w->U64(faults_);

@@ -141,36 +141,6 @@ const PageTable::SharedChunk& PageTable::EmptyChunk() {
   return empty;
 }
 
-void PageTable::SaveState(SnapshotWriter* w) const {
-  w->U64(entries_.size());
-  for (const PageTableEntry& entry : entries_) {
-    w->Bool(entry.present);
-    w->U64(entry.frame.value);
-  }
-}
-
-void PageTable::LoadState(SnapshotReader* r) {
-  const std::uint64_t count = r->U64();
-  if (r->ok() && count != entries_.size()) {
-    r->Fail(SnapshotErrorKind::kBadValue, "page table size mismatch");
-  }
-  std::vector<PageTableEntry> entries(entries_.size());
-  for (std::size_t i = 0; i < entries.size() && r->ok(); ++i) {
-    entries[i] = ReadEntry(r);
-  }
-  if (!r->ok()) {
-    return;
-  }
-  entries_ = std::move(entries);
-  for (std::size_t k = 0; k < ChunkCount(); ++k) {
-    ++chunk_versions_[k];  // every chunk may have changed; stale caches must miss
-    const auto begin = entries_.begin() + static_cast<std::ptrdiff_t>(k * kChunkEntries);
-    chunk_present_[k] = static_cast<std::uint32_t>(
-        std::count_if(begin, begin + static_cast<std::ptrdiff_t>(chunk_entries(k)),
-                      [](const PageTableEntry& e) { return e.present; }));
-  }
-}
-
 void PageTable::SaveChunk(std::size_t chunk, SnapshotWriter* w) const {
   DSA_ASSERT(chunk < ChunkCount(), "chunk out of range");
   const std::size_t begin = chunk * kChunkEntries;
@@ -202,33 +172,6 @@ void PageTable::LoadChunk(std::size_t chunk, SnapshotReader* r) {
   std::copy(entries.begin(), entries.end(), entries_.begin() + begin);
   ++chunk_versions_[chunk];
   chunk_present_[chunk] = present;
-}
-
-void PageTableMapper::SaveState(SnapshotWriter* w) const {
-  table_.SaveState(w);
-  tlb_.SaveState(w);
-  w->Bool(line_valid_);
-  w->U64(line_page_.value);
-  w->U64(line_frame_);
-  w->U64(line_hits_);
-  SaveAccounting(w);
-}
-
-void PageTableMapper::LoadState(SnapshotReader* r) {
-  table_.LoadState(r);
-  tlb_.LoadState(r);
-  const bool line_valid = r->Bool();
-  const PageId line_page{r->U64()};
-  const std::uint64_t line_frame = r->U64();
-  const std::uint64_t line_hits = r->U64();
-  LoadAccounting(r);
-  if (!r->ok()) {
-    return;
-  }
-  line_valid_ = line_valid;
-  line_page_ = line_page;
-  line_frame_ = line_frame;
-  line_hits_ = line_hits;
 }
 
 namespace {

@@ -43,9 +43,6 @@ class PageTable {
   // Words of core the table occupies (one word per entry).
   WordCount TableWords() const { return entries_.size(); }
 
-  void SaveState(SnapshotWriter* w) const;
-  void LoadState(SnapshotReader* r);
-
   // --- chunked view, the delta-checkpoint dirty-tracking granule ---
   // The table is split into fixed chunks of kChunkEntries entries; every
   // Map/Unmap bumps the touched chunk's version, so a serialization cache
@@ -112,11 +109,6 @@ class PageTableMapper : public AddressMapper {
 
   // Resident hits served from the last-translation line (see below).
   std::uint64_t line_hits() const { return line_hits_; }
-
-  // Checkpoint serialization: the table, the TLB, the last-translation line,
-  // and the inherited accounting block.
-  void SaveState(SnapshotWriter* w) const;
-  void LoadState(SnapshotReader* r);
 
   // Sectioned serialization for delta checkpoints: a "map.head" section
   // (geometry, TLB, translation line, accounting) followed by one

@@ -210,80 +210,6 @@ Characteristics PagedLinearVm::characteristics() const {
   return c;
 }
 
-void PagedLinearVm::SaveState(SnapshotWriter* w) const {
-  w->U64(clock_.now());
-  backing_->SaveState(w);
-  channel_->SaveState(w);
-  SaveRngState(w, injector_->rng_state());
-  w->Bool(advice_ != nullptr);
-  if (advice_ != nullptr) {
-    advice_->SaveState(w);
-  }
-  switch (config_.mapper) {
-    case PagedMapperKind::kPageTable:
-      static_cast<const PageTableMapper&>(*mapper_).SaveState(w);
-      break;
-    case PagedMapperKind::kAtlasRegisters:
-      static_cast<const AtlasPageRegisterMapper&>(*mapper_).SaveState(w);
-      break;
-  }
-  pager_->SaveState(w);
-  w->F64(space_time_.product().active);
-  w->F64(space_time_.product().waiting);
-  w->U64(references_);
-  w->U64(bounds_violations_);
-  w->U64(compute_cycles_);
-  w->U64(translation_cycles_);
-  w->U64(wait_cycles_);
-  w->U64(peak_resident_);
-}
-
-void PagedLinearVm::LoadState(SnapshotReader* r) {
-  const Cycles now = r->U64();
-  backing_->LoadState(r);
-  channel_->LoadState(r);
-  const RngState injector_rng = LoadRngState(r);
-  const bool has_advice = r->Bool();
-  if (r->ok() && has_advice != (advice_ != nullptr)) {
-    r->Fail(SnapshotErrorKind::kBadValue, "advice registry presence disagrees with config");
-    return;
-  }
-  if (advice_ != nullptr) {
-    advice_->LoadState(r);
-  }
-  switch (config_.mapper) {
-    case PagedMapperKind::kPageTable:
-      static_cast<PageTableMapper&>(*mapper_).LoadState(r);
-      break;
-    case PagedMapperKind::kAtlasRegisters:
-      static_cast<AtlasPageRegisterMapper&>(*mapper_).LoadState(r);
-      break;
-  }
-  pager_->LoadState(r);
-  SpaceTime space_time;
-  space_time.active = r->F64();
-  space_time.waiting = r->F64();
-  const std::uint64_t references = r->U64();
-  const std::uint64_t bounds_violations = r->U64();
-  const Cycles compute_cycles = r->U64();
-  const Cycles translation_cycles = r->U64();
-  const Cycles wait_cycles = r->U64();
-  const WordCount peak_resident = r->U64();
-  if (!r->ok()) {
-    return;
-  }
-  injector_->RestoreRngState(injector_rng);
-  clock_.Reset();
-  clock_.AdvanceTo(now);
-  space_time_.Restore(space_time);
-  references_ = references;
-  bounds_violations_ = bounds_violations;
-  compute_cycles_ = compute_cycles;
-  translation_cycles_ = translation_cycles;
-  wait_cycles_ = wait_cycles;
-  peak_resident_ = peak_resident;
-}
-
 void PagedLinearVm::SaveSections(SectionedSnapshotWriter* w) const {
   w->Begin("vm.clock")->U64(clock_.now());
   backing_->SaveState(w->Begin("vm.backing"));

@@ -92,24 +92,19 @@ class PagedLinearVm : public StorageAllocationSystem {
   // callers that drive Step directly call it once before the first step).
   void Reset();
 
-  // Checkpoint serialization of the complete mid-run state: the clock, every
-  // storage component, the mapper, the pager (frame table, replacement
+  // Checkpoint serialization of the complete mid-run state — the clock,
+  // every storage component, the mapper, the pager (frame table, replacement
   // decision state, residency), the fault stream position, the advice
-  // registry, the space-time integrals, and the step counters.  LoadState
-  // expects a freshly Reset() system built from the identical config; any
-  // inconsistency is reported through the reader.  After a successful load,
-  // Step produces the bit-identical continuation of the checkpointed run.
-  void SaveState(SnapshotWriter* w) const;
-  void LoadState(SnapshotReader* r);
-
-  // Sectioned serialization for incremental checkpoints: the same complete
-  // state split into content-addressed sections (vm.clock, vm.backing,
-  // vm.channel, vm.rng, vm.advice, the mapper's map.* sections, vm.pager,
-  // vm.tally), so a delta seal re-emits only the sections that changed
-  // since the last committed cut.  Field order inside each section matches
-  // the flat path exactly; LoadSections has the flat path's contract
-  // (freshly built identical config, all-or-nothing application of the
-  // clock/rng/tally block).
+  // registry, the space-time integrals, and the step counters — split into
+  // content-addressed sections (vm.clock, vm.backing, vm.channel, vm.rng,
+  // vm.advice, the mapper's map.* sections, vm.pager, vm.tally), so a delta
+  // seal re-emits only the sections that changed since the last committed
+  // cut.  A standalone snapshot is SealFull() with no baseline, read back
+  // through ResolveSectionChain({bytes}).  LoadSections expects a freshly
+  // Reset() system built from the identical config and reports any
+  // inconsistency through the source; the clock/rng/tally block applies
+  // all-or-nothing.  After a successful load (and FailIfUnopened), Step
+  // produces the bit-identical continuation of the checkpointed run.
   void SaveSections(SectionedSnapshotWriter* w) const;
   void LoadSections(SectionSource* src);
 

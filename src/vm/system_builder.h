@@ -78,7 +78,7 @@ bool SpecIsPagedLinear(const SystemSpec& spec);
 // The PagedVmConfig Build() derives for a paged-linear spec.  Exposed so
 // the service loop can construct the concrete PagedLinearVm (rather than
 // the type-erased StorageAllocationSystem) and reach its
-// SaveState/LoadState.  The spec must satisfy SpecIsPagedLinear.
+// SaveSections/LoadSections.  The spec must satisfy SpecIsPagedLinear.
 PagedVmConfig PagedConfigFromSpec(const SystemSpec& spec);
 
 }  // namespace dsa

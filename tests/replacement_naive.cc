@@ -1,4 +1,4 @@
-#include "src/paging/replacement_naive.h"
+#include "tests/replacement_naive.h"
 
 #include "src/core/assert.h"
 

@@ -3,18 +3,14 @@
 // These are the original O(frames)-per-victim implementations, retained
 // verbatim after the frame table grew its intrusive O(1) lists: they walk
 // the full candidate set and take the argmin of load_time / last_use,
-// breaking ties by lowest frame index.  They exist for two reasons:
-//
-//   1. Golden parity — tests/test_replacement_parity.cc proves the O(1)
-//      policies produce identical victim sequences and fault counts.
-//   2. Baseline throughput — bench/bench_throughput.cc replays the same
-//      trace through both engines and reports the speedup, so the perf
-//      trajectory of this hot path stays measurable forever.
-//
-// Production code should use the policies in replacement_simple.h.
+// breaking ties by lowest frame index.  They are test oracles only:
+// test_replacement_parity proves the O(1) policies in
+// src/paging/replacement_simple.h produce identical victim sequences and
+// fault counts, and test_fault_injection holds the two engines in lockstep
+// while frames retire mid-trace.
 
-#ifndef SRC_PAGING_REPLACEMENT_NAIVE_H_
-#define SRC_PAGING_REPLACEMENT_NAIVE_H_
+#ifndef TESTS_REPLACEMENT_NAIVE_H_
+#define TESTS_REPLACEMENT_NAIVE_H_
 
 #include "src/paging/replacement.h"
 
@@ -36,4 +32,4 @@ class ScanLruReplacement : public ReplacementPolicy {
 
 }  // namespace dsa
 
-#endif  // SRC_PAGING_REPLACEMENT_NAIVE_H_
+#endif  // TESTS_REPLACEMENT_NAIVE_H_

@@ -63,7 +63,7 @@ TEST(ThreadPoolTest, StealingCoversImbalancedBatches) {
     volatile std::uint64_t sink = 0;
     const std::size_t spin = (i % 8 == 0) ? 200000 : 10;
     for (std::size_t k = 0; k < spin; ++k) {
-      sink += k;
+      sink = sink + k;
     }
     hits[i].fetch_add(1);
   });

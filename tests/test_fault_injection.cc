@@ -22,8 +22,8 @@
 #include "src/mem/fault_injection.h"
 #include "src/paging/hierarchy_pager.h"
 #include "src/paging/pager.h"
-#include "src/paging/replacement_naive.h"
 #include "src/paging/replacement_simple.h"
+#include "tests/replacement_naive.h"
 
 namespace dsa {
 namespace {

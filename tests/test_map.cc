@@ -365,16 +365,6 @@ TEST(PageTablePresentCountTest, LoadChunkAndLoadStateRecount) {
     ASSERT_TRUE(r.ok() && r.AtEnd()) << r.error().Describe();
   }
   EXPECT_EQ(PresentCounts(by_chunk), expected);
-
-  PageTable flat(2 * kChunk + 10);
-  flat.Map(PageId{kChunk + 4}, FrameId{7});
-  SnapshotWriter w;
-  source.SaveState(&w);
-  const std::string sealed = w.Seal();
-  SnapshotReader r(sealed);
-  flat.LoadState(&r);
-  ASSERT_TRUE(r.ok() && r.AtEnd()) << r.error().Describe();
-  EXPECT_EQ(PresentCounts(flat), expected);
 }
 
 TEST(PageTableStrictLoadTest, AbsentEntryWithAFrameIsABadValue) {
@@ -396,19 +386,6 @@ TEST(PageTableStrictLoadTest, AbsentEntryWithAFrameIsABadValue) {
   EXPECT_EQ(r.error().kind, SnapshotErrorKind::kBadValue);
   EXPECT_EQ(PresentCounts(table), before);
   EXPECT_EQ(table.entry(PageId{0}).frame, FrameId{1});
-
-  SnapshotWriter flat;
-  flat.U64(table.page_count());
-  for (std::size_t i = 0; i < table.page_count(); ++i) {
-    flat.Bool(false);
-    flat.U64(i == 2 * kChunk + 3 ? 1 : 0);
-  }
-  const std::string sealed = flat.Seal();
-  SnapshotReader fr(sealed);
-  table.LoadState(&fr);
-  EXPECT_FALSE(fr.ok());
-  EXPECT_EQ(fr.error().kind, SnapshotErrorKind::kBadValue);
-  EXPECT_EQ(PresentCounts(table), before);
 }
 
 // The per-entry encoder SaveChunk replaced, kept as its byte oracle.

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/naming/linear.h"
 #include "src/naming/linearly_segmented.h"
 #include "src/naming/symbolic.h"
@@ -155,7 +157,9 @@ TEST(SymbolicDirectoryTest, BookkeepingIsConstantPerOperation) {
   // regardless of churn history; linear run allocation scans holes.
   SymbolicSegmentDirectory dir;
   for (int i = 0; i < 100; ++i) {
-    dir.Create("s" + std::to_string(i));
+    std::string name = "s";
+    name += std::to_string(i);
+    dir.Create(name);
   }
   const std::uint64_t before = dir.bookkeeping_ops();
   dir.Create("one-more");

@@ -25,9 +25,9 @@
 #include "src/alloc/free_list.h"
 #include "src/core/rng.h"
 #include "src/paging/pager.h"
-#include "src/paging/replacement_naive.h"
 #include "src/paging/replacement_simple.h"
 #include "src/paging/stack_distance.h"
+#include "tests/replacement_naive.h"
 
 namespace dsa {
 namespace {

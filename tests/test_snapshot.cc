@@ -4,7 +4,8 @@
 // State()/Restore() continuation purity over 2^17 draws, and the headline
 // component guarantee — a PagedLinearVm checkpointed mid-run and reloaded
 // into a fresh instance continues bit-identically to the uninterrupted run,
-// across every replacement policy service mode can host.
+// across every replacement policy service mode can host and both paged-VM
+// mappers.
 
 #include <gtest/gtest.h>
 
@@ -12,9 +13,11 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/core/rng.h"
@@ -430,38 +433,63 @@ std::string StepAll(PagedLinearVm* vm, const ReferenceTrace& trace,
   return RenderVmReport(report, Describe(vm->characteristics()), trace.label);
 }
 
+// A standalone VM snapshot: the full sectioned seal, with no baseline.
+std::string SealVm(const PagedLinearVm& vm) {
+  SectionedSnapshotWriter w;
+  vm.SaveSections(&w);
+  return w.SealFull();
+}
+
+// Restores a standalone snapshot into `vm`: the one-link chain must resolve,
+// every section must load, and none may go unread.  Empty on success.
+std::optional<SnapshotError> LoadVm(PagedLinearVm* vm, const std::string& sealed) {
+  auto resolved = ResolveSectionChain({sealed});
+  if (!resolved.has_value()) {
+    return resolved.error();
+  }
+  SectionSource& src = resolved.value();
+  vm->LoadSections(&src);
+  src.FailIfUnopened();
+  if (!src.ok()) {
+    return src.error();
+  }
+  return std::nullopt;
+}
+
 TEST(PagedVmSnapshotTest, MidRunSaveLoadContinuesBitIdenticallyAcrossPolicies) {
   const ReferenceTrace trace = VmTrace();
+  std::vector<std::pair<std::string, PagedVmConfig>> configs;
   for (ReplacementStrategyKind policy :
        {ReplacementStrategyKind::kLru, ReplacementStrategyKind::kFifo,
         ReplacementStrategyKind::kClock, ReplacementStrategyKind::kRandom,
         ReplacementStrategyKind::kM44Class, ReplacementStrategyKind::kWorkingSet}) {
-    const SystemSpec spec = ServeSpec(policy);
+    configs.emplace_back(ToString(policy), PagedConfigFromSpec(ServeSpec(policy)));
+  }
+  // The ATLAS register file is the mapper's whole state, saved as map.head.
+  PagedVmConfig atlas = PagedConfigFromSpec(ServeSpec(ReplacementStrategyKind::kLru));
+  atlas.mapper = PagedMapperKind::kAtlasRegisters;
+  configs.emplace_back("atlas-registers", atlas);
 
-    PagedLinearVm straight(PagedConfigFromSpec(spec));
+  for (const auto& [label, config] : configs) {
+    PagedLinearVm straight(config);
     const std::string expected = StepAll(&straight, trace, 0);
 
     // Interrupt at several cut points, including mid-phase ones.
     for (std::size_t cut : {std::size_t{1}, trace.refs.size() / 3,
                             trace.refs.size() / 2,
                             trace.refs.size() - 1}) {
-      PagedLinearVm first(PagedConfigFromSpec(spec));
+      PagedLinearVm first(config);
       for (std::size_t i = 0; i < cut; ++i) {
         first.Step(trace.refs[i]);
       }
-      SnapshotWriter w;
-      first.SaveState(&w);
-      const std::string sealed = w.Seal();
+      const std::string sealed = SealVm(first);
 
-      PagedLinearVm resumed(PagedConfigFromSpec(spec));
-      SnapshotReader r(sealed);
-      resumed.LoadState(&r);
-      ASSERT_TRUE(r.ok()) << ToString(policy) << " cut " << cut << ": "
-                          << r.error().Describe();
-      ASSERT_TRUE(r.AtEnd()) << ToString(policy) << " cut " << cut
-                             << ": trailing bytes after LoadState";
-      EXPECT_EQ(StepAll(&resumed, trace, cut), expected)
-          << ToString(policy) << " cut at " << cut;
+      PagedLinearVm resumed(config);
+      const std::optional<SnapshotError> error = LoadVm(&resumed, sealed);
+      ASSERT_FALSE(error.has_value()) << label << " cut " << cut << ": "
+                                      << error->Describe();
+      EXPECT_EQ(SealVm(resumed), sealed) << label << " cut " << cut << ": reseal differs";
+      EXPECT_EQ(StepAll(&resumed, trace, cut), expected) << label << " cut at " << cut;
     }
   }
 }
@@ -474,9 +502,7 @@ TEST(PagedVmSnapshotTest, SaveStateIsDeterministicForIdenticalState) {
     for (std::size_t i = 0; i < trace.refs.size() / 2; ++i) {
       vm.Step(trace.refs[i]);
     }
-    SnapshotWriter w;
-    vm.SaveState(&w);
-    return w.Seal();
+    return SealVm(vm);
   };
   EXPECT_EQ(capture(), capture());
 }
@@ -488,12 +514,10 @@ TEST(PagedVmSnapshotTest, CorruptVmSnapshotFailsTypedWithoutCrashing) {
   for (std::size_t i = 0; i < 1000; ++i) {
     vm.Step(trace.refs[i]);
   }
-  SnapshotWriter w;
-  vm.SaveState(&w);
-  const std::string sealed = w.Seal();
+  const std::string sealed = SealVm(vm);
 
   // Truncation, payload flips at several depths, and a stale version must
-  // all surface as reader errors — never an abort, never a partial load
+  // all surface as typed errors — never an abort, never a partial load
   // that silently "works".
   std::vector<std::string> corrupt;
   corrupt.push_back(sealed.substr(0, sealed.size() / 2));
@@ -509,12 +533,9 @@ TEST(PagedVmSnapshotTest, CorruptVmSnapshotFailsTypedWithoutCrashing) {
   }
   for (const std::string& bytes : corrupt) {
     PagedLinearVm fresh(PagedConfigFromSpec(spec));
-    SnapshotReader r(bytes);
-    fresh.LoadState(&r);
-    EXPECT_FALSE(r.ok() && r.AtEnd());
-    if (!r.ok()) {
-      EXPECT_FALSE(r.error().Describe().empty());
-    }
+    const std::optional<SnapshotError> error = LoadVm(&fresh, bytes);
+    ASSERT_TRUE(error.has_value());
+    EXPECT_FALSE(error->Describe().empty());
   }
 }
 
@@ -534,13 +555,9 @@ TEST(PagedVmSnapshotTest, FaultInjectedRunResumesIdentically) {
   for (std::size_t i = 0; i < cut; ++i) {
     first.Step(trace.refs[i]);
   }
-  SnapshotWriter w;
-  first.SaveState(&w);
   PagedLinearVm resumed(PagedConfigFromSpec(spec));
-  const std::string sealed_bytes = w.Seal();
-  SnapshotReader r(sealed_bytes);
-  resumed.LoadState(&r);
-  ASSERT_TRUE(r.ok() && r.AtEnd()) << r.error().Describe();
+  const std::optional<SnapshotError> error = LoadVm(&resumed, SealVm(first));
+  ASSERT_FALSE(error.has_value()) << error->Describe();
   EXPECT_EQ(StepAll(&resumed, trace, cut), expected);
 }
 
@@ -905,24 +922,6 @@ TEST(SectionHashCacheTest, DeltaAfterLoadChunkInlinesExactlyTheReloadedChanges) 
   ASSERT_TRUE(resolved.value().ok()) << resolved.value().error().Describe();
 
   EXPECT_EQ(DeltaChunks(warm, before), ChunkNames({1, 3}));
-  EXPECT_EQ(CutMapper(warm).full, CutMapper(other).full);
-}
-
-TEST(SectionHashCacheTest, DeltaAfterFlatLoadStateInlinesExactlyTheChangedChunks) {
-  PageTableMapper warm(kMapPageWords, kMapPages, 0);
-  warm.Map(PageInChunk(2, 4), FrameId{5});
-  const MapperCut before = CutMapper(warm);
-
-  PageTableMapper other(kMapPageWords, kMapPages, 0);
-  other.Map(PageInChunk(0, 0), FrameId{6});
-  SnapshotWriter flat;
-  other.SaveState(&flat);
-  const std::string sealed = flat.Seal();
-  SnapshotReader r(sealed);
-  warm.LoadState(&r);
-  ASSERT_TRUE(r.ok() && r.AtEnd()) << r.error().Describe();
-
-  EXPECT_EQ(DeltaChunks(warm, before), ChunkNames({0, 2}));
   EXPECT_EQ(CutMapper(warm).full, CutMapper(other).full);
 }
 

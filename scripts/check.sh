@@ -4,7 +4,8 @@
 #   scripts/check.sh              # configure, build, ctest by label, benches
 #   DSA_SANITIZE=address scripts/check.sh   # same, under ASan
 #
-# ctest runs as seven labelled passes (unit, golden, property, soak, resume,
+# ctest runs as eight labelled passes (unit, golden, paper — the paper benches'
+# and examples' stdout against tests/golden/paper/ — property, soak, resume,
 # faultpoint — the durable-IO fault sweep — and stress, which reruns the
 # concurrent suites under --gtest_repeat with rotating seeds) so a failure
 # names the class of breakage immediately;
@@ -23,7 +24,7 @@ fi
 
 cmake -B build -S . "${SANITIZE_ARGS[@]}"
 cmake --build build -j
-for label in unit golden property soak resume faultpoint stress; do
+for label in unit golden paper property soak resume faultpoint stress; do
   echo "== ctest -L ${label}"
   # Note -j needs an explicit count: a bare `-j` makes ctest swallow the
   # following -L flag and run the whole suite unfiltered.

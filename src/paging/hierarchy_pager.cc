@@ -125,7 +125,7 @@ void HierarchyPager::PlaceOnDisk(PageId page, Cycles now) {
 
 void HierarchyPager::PlaceEvicted(PageId page, Cycles now) {
   const bool to_drum = config_.demotion == DemotionPolicy::kAlwaysDrum ||
-                       (config_.promote_on_disk_fault && promoted_[page.value]);
+                       (config_.promote_on_disk_fault && promoted_.contains(page.value));
   if (!to_drum) {
     PlaceOnDisk(page, now);
     return;
@@ -317,7 +317,7 @@ Expected<Cycles, PageAccessError> HierarchyPager::Access(PageId page, AccessKind
       ++stats_.disk_hits;
       // "Worthwhile only if the item is going to be used frequently": a disk
       // fault is the frequency evidence this model accepts.
-      promoted_[page.value] = true;
+      promoted_.insert(page.value);
     }
   } else {
     ++stats_.zero_fills;  // first touch: zero-filled, no transfer

@@ -28,6 +28,7 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "src/core/expected.h"
 #include "src/core/resident_index.h"
@@ -138,7 +139,7 @@ class HierarchyPager {
   FrameTable frames_;
   ResidentIndex resident_;
   std::unordered_map<std::uint64_t, Home> home_;       // where each absent page lives
-  std::unordered_map<std::uint64_t, bool> promoted_;   // disk-faulted pages to stage on drum
+  std::unordered_set<std::uint64_t> promoted_;         // disk-faulted pages to stage on drum
   std::list<std::uint64_t> drum_lru_;                  // drum residents, most recent first
   std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator> drum_pos_;
   // Pages relocated off their identity slot at their current home level.

@@ -593,5 +593,87 @@ TEST(HierarchyFaultTest, PermanentDrumStoreFailureRelocates) {
   EXPECT_TRUE(pager.IsResident(PageId{0}));
 }
 
+TEST(HierarchyFaultTest, ParityFailedFirstTouchLandingChargesNothing) {
+  ScriptedInjector injector;
+  HierarchyPager pager(SmallHierarchy(), std::make_unique<LruReplacement>(), &injector);
+  // A first-touch page has no backing copy: the landing that parity-fails
+  // moved no data, so it costs no time; the page zero-fills in the next frame.
+  injector.ScriptFrameFailure(true);
+  const auto outcome = pager.Access(PageId{5}, AccessKind::kRead, 0);
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_EQ(*outcome, 0u);
+  EXPECT_EQ(pager.stats().reliability.frame_failures, 1u);
+  EXPECT_EQ(pager.stats().reliability.retired_frames, 1u);
+  EXPECT_EQ(pager.stats().zero_fills, 1u);
+  EXPECT_EQ(pager.stats().wait_cycles, 0u);
+  EXPECT_TRUE(pager.IsResident(PageId{5}));
+}
+
+TEST(HierarchyFaultTest, PermanentDiskFetchFaultLosesThePage) {
+  HierarchyPagerConfig config = SmallHierarchy();
+  config.demotion = DemotionPolicy::kAlwaysDisk;
+  config.promote_on_disk_fault = false;
+  ScriptedInjector injector;
+  HierarchyPager pager(config, std::make_unique<LruReplacement>(), &injector);
+  Cycles now = 0;
+  for (std::uint64_t p = 0; p < 4; ++p) {  // p=3 evicts page 0 to disk
+    now += *pager.Access(PageId{p}, AccessKind::kRead, now) + 1;
+  }
+  // Re-faulting page 0 stores the LRU victim on disk (clean), then reads
+  // page 0 from a sector that just went bad: its only copy is gone.
+  injector.ScriptTransfer(TransferFaultKind::kNone);
+  injector.ScriptTransfer(TransferFaultKind::kPermanentSlot);
+  const auto lost = pager.Access(PageId{0}, AccessKind::kRead, now + 500000);
+  ASSERT_FALSE(lost.has_value());
+  EXPECT_EQ(lost.error().kind, PageAccessErrorKind::kSlotUnreadable);
+  EXPECT_GE(lost.error().wait_cycles, 5000u);  // the disk read ran before the check
+  const ReliabilityStats& rel = pager.stats().reliability;
+  EXPECT_EQ(rel.slot_failures, 1u);
+  EXPECT_EQ(rel.lost_pages, 1u);
+  EXPECT_EQ(rel.failed_accesses, 1u);
+  EXPECT_FALSE(pager.IsResident(PageId{0}));
+
+  // The page has no home left: the next touch zero-fills into the frame the
+  // failed access gave back, with no transfer and no eviction.
+  const std::uint64_t zero_fills = pager.stats().zero_fills;
+  const std::uint64_t writebacks = pager.stats().writebacks;
+  const auto again = pager.Access(PageId{0}, AccessKind::kRead, now + 1000000);
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(*again, 0u);
+  EXPECT_EQ(pager.stats().zero_fills, zero_fills + 1);
+  EXPECT_EQ(pager.stats().writebacks, writebacks);
+  EXPECT_EQ(pager.stats().disk_hits, 0u);
+  EXPECT_TRUE(pager.IsResident(PageId{0}));
+}
+
+TEST(HierarchyFaultTest, DrumWithoutSpareSlotsSpillsToDisk) {
+  HierarchyPagerConfig config = SmallHierarchy();
+  // Half a page of drum: once page 0's drum slot goes bad there is no room
+  // for a spare, so the page falls through to disk instead of being lost.
+  config.drum_level = MakeDrumLevel("drum", 32, /*word_time=*/2, /*rotational_delay=*/3000);
+  ScriptedInjector injector;
+  HierarchyPager pager(config, std::make_unique<LruReplacement>(), &injector);
+  Cycles now = 0;
+  for (std::uint64_t p = 0; p < 3; ++p) {
+    now += *pager.Access(PageId{p}, AccessKind::kRead, now) + 1;
+  }
+  injector.ScriptTransfer(TransferFaultKind::kPermanentSlot);  // drum store of page 0
+  injector.ScriptTransfer(TransferFaultKind::kNone);           // its disk store
+  now += *pager.Access(PageId{3}, AccessKind::kRead, now) + 1;
+  const ReliabilityStats& rel = pager.stats().reliability;
+  EXPECT_EQ(rel.slot_failures, 1u);
+  EXPECT_EQ(rel.relocations, 0u);
+  EXPECT_EQ(rel.spill_relocations, 1u);
+  EXPECT_EQ(rel.lost_pages, 0u);
+  EXPECT_EQ(pager.drum_page_count(), 0u);
+
+  // Page 0 comes back from disk.
+  const auto again = pager.Access(PageId{0}, AccessKind::kRead, now + 500000);
+  ASSERT_TRUE(again.has_value());
+  EXPECT_GE(*again, 40000u);
+  EXPECT_EQ(pager.stats().disk_hits, 1u);
+  EXPECT_EQ(pager.stats().drum_hits, 0u);
+}
+
 }  // namespace
 }  // namespace dsa

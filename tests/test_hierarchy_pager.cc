@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
 
+#include "src/core/rng.h"
+#include "src/core/snapshot.h"
+#include "src/mem/fault_injection.h"
+#include "src/obs/export.h"
+#include "src/obs/tracer.h"
 #include "src/paging/hierarchy_pager.h"
 #include "src/paging/replacement_simple.h"
 
@@ -138,6 +144,77 @@ TEST(HierarchyPagerTest, StatsAccumulateConsistently) {
   EXPECT_EQ(stats.accesses, 20u);
   EXPECT_EQ(stats.faults, stats.drum_hits + stats.disk_hits + stats.zero_fills);
   EXPECT_GE(stats.writebacks, stats.demotions);
+}
+
+// Pins every recovery path of the drum+disk pager at once: transient and
+// permanent transfer faults on both levels, drum spare slots running out
+// (spills to disk), and core parity retiring frames.  The digests cover the
+// tracer's event JSONL and every stats field, so any change to the fault
+// loop's order of draws, charges or events shows here.
+TEST(HierarchyPagerTest, SeededFaultStreamKeepsItsPinnedDigest) {
+  HierarchyPagerConfig config = SmallConfig();
+  config.frames = 8;
+  // Room for six pages: with the drum near its eight-page limit a bad drum
+  // slot finds no spare and the page spills to disk.
+  config.drum_level = MakeDrumLevel("drum", 6 * 64, /*word_time=*/2, /*rotational_delay=*/200);
+  FaultInjectorConfig faults;
+  faults.seed = 0x41e5;
+  faults.rates.frame_failure = 0.002;
+  faults.level_rates[0] = FaultRates{0.05, 0.02, 0.0};
+  faults.level_rates[1] = FaultRates{0.04, 0.01, 0.0};
+  FaultInjector injector(faults);
+  EventTracer tracer(/*capacity=*/0);
+  HierarchyPager pager(config, std::make_unique<LruReplacement>(), &injector);
+  pager.SetTracer(&tracer);
+
+  Rng rng(0x41e);
+  SnapshotWriter trail;
+  std::uint64_t page = 0;
+  Cycles now = 0;
+  for (int step = 0; step < 6000; ++step) {
+    if (rng.Below(8) == 0) {
+      page = rng.Below(40);
+    } else if (rng.Below(10) < 4) {
+      page = (page + 1) % 40;
+    }
+    const AccessKind kind = rng.Below(4) == 0 ? AccessKind::kWrite : AccessKind::kRead;
+    const auto outcome = pager.Access(PageId{page}, kind, now);
+    const Cycles wait = outcome.has_value() ? *outcome : outcome.error().wait_cycles;
+    trail.U64(outcome.has_value() ? 0 : 1 + static_cast<std::uint64_t>(outcome.error().kind));
+    trail.U64(wait);
+    now += wait + 1 + rng.Below(3);
+  }
+  const HierarchyPagerStats& stats = pager.stats();
+  const ReliabilityStats& rel = stats.reliability;
+  for (const std::uint64_t field :
+       {stats.accesses, stats.faults, stats.drum_hits, stats.disk_hits, stats.zero_fills,
+        stats.demotions, stats.writebacks, stats.wait_cycles, rel.transient_errors, rel.retries,
+        rel.retry_cycles, rel.slot_failures, rel.relocations, rel.spill_relocations,
+        rel.frame_failures, rel.retired_frames, rel.residual_frames, rel.failed_accesses,
+        rel.lost_pages, static_cast<std::uint64_t>(pager.drum_page_count()),
+        static_cast<std::uint64_t>(pager.frames().retired_count())}) {
+    trail.U64(field);
+  }
+  // Every recovery path ran, so the digest guards each of them.
+  EXPECT_GT(stats.drum_hits, 0u);
+  EXPECT_GT(stats.disk_hits, 0u);
+  EXPECT_GT(stats.demotions, 0u);
+  EXPECT_GT(rel.retries, 0u);
+  EXPECT_GT(rel.relocations, 0u);
+  EXPECT_GT(rel.spill_relocations, 0u);
+  EXPECT_GT(rel.frame_failures, 0u);
+  EXPECT_GT(rel.lost_pages, 0u);
+  EXPECT_GT(rel.failed_accesses, 0u);
+
+  char digest[24];
+  std::snprintf(digest, sizeof(digest), "%016llx",
+                static_cast<unsigned long long>(Fnv64(trail.TakePayload())));
+  EXPECT_STREQ(digest, "76b4cab53250d2fe");
+  if (DSA_TRACE) {
+    std::snprintf(digest, sizeof(digest), "%016llx",
+                  static_cast<unsigned long long>(Fnv64(EventsToJsonl(tracer.Snapshot()))));
+    EXPECT_STREQ(digest, "3ba0199549d31abd");
+  }
 }
 
 }  // namespace

@@ -349,7 +349,7 @@ PageTable SourceTable() {
   return table;
 }
 
-TEST(PageTablePresentCountTest, LoadChunkAndLoadStateRecount) {
+TEST(PageTablePresentCountTest, LoadChunkRecounts) {
   const PageTable source = SourceTable();
   const std::vector<std::size_t> expected{3, 0, 1};
   ASSERT_EQ(PresentCounts(source), expected);

@@ -494,7 +494,7 @@ TEST(PagedVmSnapshotTest, MidRunSaveLoadContinuesBitIdenticallyAcrossPolicies) {
   }
 }
 
-TEST(PagedVmSnapshotTest, SaveStateIsDeterministicForIdenticalState) {
+TEST(PagedVmSnapshotTest, SealedSectionsAreDeterministicForIdenticalState) {
   const SystemSpec spec = ServeSpec(ReplacementStrategyKind::kLru);
   const ReferenceTrace trace = VmTrace();
   auto capture = [&] {

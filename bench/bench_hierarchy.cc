@@ -12,17 +12,18 @@
 #include <cstdio>
 #include <memory>
 
-#include "src/paging/hierarchy_pager.h"
+#include "src/paging/drum_disk_backing.h"
+#include "src/paging/fetch.h"
 #include "src/paging/replacement_simple.h"
 #include "src/stats/table.h"
 #include "src/trace/synthetic.h"
 
 namespace {
 
-dsa::HierarchyPagerConfig BaseConfig() {
-  dsa::HierarchyPagerConfig config;
-  config.page_words = 512;
-  config.frames = 16;      // 8K words of core
+constexpr dsa::PagerConfig kCore{.page_words = 512, .frames = 16};  // 8K words of core
+
+dsa::DrumDiskConfig BaseConfig() {
+  dsa::DrumDiskConfig config;
   config.drum_pages = 32;  // 16K words of drum staging
   config.drum_level = dsa::MakeDrumLevel("drum", 1u << 18, /*word_time=*/2,
                                          /*rotational_delay=*/3000);
@@ -32,16 +33,21 @@ dsa::HierarchyPagerConfig BaseConfig() {
 }
 
 struct RunResult {
-  dsa::HierarchyPagerStats stats;
+  dsa::PagerStats pager;
+  dsa::DrumDiskStats tiers;
 };
 
-RunResult Drive(const dsa::HierarchyPagerConfig& config, const dsa::ReferenceTrace& trace) {
-  dsa::HierarchyPager pager(config, std::make_unique<dsa::LruReplacement>());
+RunResult Drive(const dsa::DrumDiskConfig& config, const dsa::ReferenceTrace& trace) {
+  dsa::DrumDiskBacking tiers(config);
+  dsa::Pager pager(kCore, &tiers, std::make_unique<dsa::LruReplacement>(),
+                   std::make_unique<dsa::DemandFetch>(), /*advice=*/nullptr);
   dsa::Cycles now = 0;
   for (const dsa::Reference& ref : trace.refs) {
-    now += *pager.Access(dsa::PageId{ref.name.value / config.page_words}, ref.kind, now) + 1;
+    now += pager.Access(dsa::PageId{ref.name.value / kCore.page_words}, ref.kind, now)
+               ->wait_cycles +
+           1;
   }
-  return RunResult{pager.stats()};
+  return RunResult{pager.stats(), tiers.stats()};
 }
 
 }  // namespace
@@ -69,32 +75,32 @@ int main() {
        {PolicyCase{"disk only (no staging)", dsa::DemotionPolicy::kAlwaysDisk, false},
         PolicyCase{"disk, promote reused", dsa::DemotionPolicy::kAlwaysDisk, true},
         PolicyCase{"drum staging", dsa::DemotionPolicy::kAlwaysDrum, true}}) {
-    dsa::HierarchyPagerConfig config = BaseConfig();
+    dsa::DrumDiskConfig config = BaseConfig();
     config.demotion = c.demotion;
     config.promote_on_disk_fault = c.promote;
     const RunResult result = Drive(config, trace);
     policy_table.AddRow()
         .AddCell(c.label)
         .AddCell(c.promote ? "yes" : "no")
-        .AddCell(result.stats.faults)
-        .AddCell(result.stats.drum_hits)
-        .AddCell(result.stats.disk_hits)
-        .AddCell(100.0 * result.stats.DrumServiceFraction(), 1)
-        .AddCell(result.stats.wait_cycles);
+        .AddCell(result.pager.faults)
+        .AddCell(result.tiers.drum_hits)
+        .AddCell(result.tiers.disk_hits)
+        .AddCell(100.0 * result.tiers.DrumServiceFraction(), 1)
+        .AddCell(result.pager.wait_cycles);
   }
   std::printf("%s\n", policy_table.Render().c_str());
 
   std::printf("drum size sweep under drum staging:\n");
   dsa::Table size_table({"drum pages", "demotions", "drum service %", "total wait (cyc)"});
   for (const std::size_t pages : {4u, 16u, 64u, 256u}) {
-    dsa::HierarchyPagerConfig config = BaseConfig();
+    dsa::DrumDiskConfig config = BaseConfig();
     config.drum_pages = pages;
     const RunResult result = Drive(config, trace);
     size_table.AddRow()
         .AddCell(static_cast<std::uint64_t>(pages))
-        .AddCell(result.stats.demotions)
-        .AddCell(100.0 * result.stats.DrumServiceFraction(), 1)
-        .AddCell(result.stats.wait_cycles);
+        .AddCell(result.tiers.demotions)
+        .AddCell(100.0 * result.tiers.DrumServiceFraction(), 1)
+        .AddCell(result.pager.wait_cycles);
   }
   std::printf("%s\n", size_table.Render().c_str());
 

@@ -7,12 +7,13 @@
 #include "src/core/assert.h"
 #include "src/core/snapshot.h"
 #include "src/obs/tracer.h"
+#include "src/paging/drum_disk_backing.h"
 
 namespace dsa {
 
 namespace {
-// The flat pager owns a single backing store; the injector sees it as
-// level 0 (the hierarchy pager uses 0 = drum, 1 = disk).
+// The injector sees the single backing store as level 0 (a drum/disk home
+// uses 0 = drum, 1 = disk).
 constexpr std::size_t kBackingLevel = 0;
 }  // namespace
 
@@ -31,22 +32,46 @@ const char* ToString(PageAccessErrorKind kind) {
 Pager::Pager(PagerConfig config, BackingStore* backing, TransferChannel* channel,
              std::unique_ptr<ReplacementPolicy> replacement, std::unique_ptr<FetchPolicy> fetch,
              AdviceRegistry* advice, FaultInjector* injector)
+    : Pager(config, backing, channel, nullptr, std::move(replacement), std::move(fetch), advice,
+            injector) {
+  DSA_ASSERT(backing_ != nullptr, "pager needs a backing store");
+}
+
+Pager::Pager(PagerConfig config, DrumDiskBacking* tiers,
+             std::unique_ptr<ReplacementPolicy> replacement, std::unique_ptr<FetchPolicy> fetch,
+             AdviceRegistry* advice, FaultInjector* injector)
+    : Pager(config, nullptr, nullptr, tiers, std::move(replacement), std::move(fetch), advice,
+            injector) {
+  DSA_ASSERT(tiers_ != nullptr, "pager needs a drum/disk home");
+}
+
+Pager::Pager(PagerConfig config, BackingStore* backing, TransferChannel* channel,
+             DrumDiskBacking* tiers, std::unique_ptr<ReplacementPolicy> replacement,
+             std::unique_ptr<FetchPolicy> fetch, AdviceRegistry* advice, FaultInjector* injector)
     : config_(config),
       backing_(backing),
       channel_(channel),
+      tiers_(tiers),
       replacement_(std::move(replacement)),
       fetch_(std::move(fetch)),
       advice_(advice),
       injector_(injector),
       frames_(config.frames),
       resident_(config.frames) {
-  DSA_ASSERT(backing_ != nullptr, "pager needs a backing store");
   DSA_ASSERT(replacement_ != nullptr, "pager needs a replacement policy");
   DSA_ASSERT(fetch_ != nullptr, "pager needs a fetch policy");
   if (config_.touch_idle_threshold == 0) {
     config_.touch_idle_threshold = config_.page_words;
   }
   stats_.reliability.residual_frames = frames_.usable_frame_count();
+}
+
+void Pager::SetTracer(EventTracer* tracer) {
+  tracer_ = tracer;
+  frames_.SetTracer(tracer);
+  if (tiers_ != nullptr) {
+    tiers_->SetTracer(tracer);
+  }
 }
 
 void Pager::AdviseWillNeed(PageId page) {
@@ -71,9 +96,14 @@ void Pager::AdviseKeepResident(PageId page) {
   }
 }
 
-BackingStore::SlotId Pager::SlotFor(PageId page) const {
+PageHome Pager::HomeOf(PageId page) {
+  if (tiers_ != nullptr) {
+    return tiers_->Locate(page);
+  }
+  // Relocations move pages off their identity slot.
   auto it = slot_of_.find(page.value);
-  return it != slot_of_.end() ? it->second : page.value;
+  return PageHome{backing_, channel_, kBackingLevel,
+                  it != slot_of_.end() ? it->second : page.value};
 }
 
 void Pager::SyncRetirementStats() {
@@ -81,77 +111,95 @@ void Pager::SyncRetirementStats() {
   stats_.reliability.residual_frames = frames_.usable_frame_count();
 }
 
-Status<PageAccessError> Pager::WriteBack(PageId page, Cycles now) {
+bool Pager::StoreCopy(PageId page, PageHome* to, bool has_fallback, Cycles now) {
   ReliabilityStats& rel = stats_.reliability;
   const int max_retries = injector_ != nullptr ? injector_->max_retries() : 0;
   for (int attempt = 0;; ++attempt) {
-    BackingStore::SlotId slot = SlotFor(page);
-    if (backing_->IsBad(slot)) {
+    if (tiers_ != nullptr) {
+      // A drum/disk level records a spare slot only once a store lands, so
+      // every attempt starts again from the page's own slot on that level.
+      to->slot = page.value;
+    }
+    if (to->store->IsBad(to->slot)) {
       // The page's home sector is gone; relocate to a spare slot.
-      const auto spare = backing_->AllocateSpareSlot(config_.page_words);
+      const auto spare = to->store->AllocateSpareSlot(config_.page_words);
       if (!spare.has_value()) {
-        ++rel.lost_pages;
-        DSA_TRACE_EMIT(tracer_, EventKind::kFaultRecovery, page.value,
-                       static_cast<std::uint64_t>(RecoveryAction::kPageLost));
-        return MakeUnexpected(PageAccessError{PageAccessErrorKind::kSlotUnreadable, page, 0});
+        break;
       }
-      slot_of_[page.value] = *spare;
-      slot = *spare;
+      to->slot = *spare;
       ++rel.relocations;
       DSA_TRACE_EMIT(tracer_, EventKind::kFaultRecovery, page.value,
                      static_cast<std::uint64_t>(RecoveryAction::kRelocation));
     }
     // Write-back transfers occupy the channel but are buffered off the
     // program's critical path; later fetches queue behind them.
-    DSA_TRACE_EMIT(tracer_, EventKind::kTransferStart, page.value, kBackingLevel,
+    DSA_TRACE_EMIT(tracer_, EventKind::kTransferStart, page.value, to->level,
                    /*direction=*/1);
-    if (channel_ != nullptr) {
-      channel_->Schedule(backing_->level(), config_.page_words, now);
+    if (to->channel != nullptr) {
+      to->channel->Schedule(to->store->level(), config_.page_words, now);
     }
-    const Cycles store_cycles = backing_->StoreZeros(slot, config_.page_words);
+    const Cycles store_cycles = to->store->StoreZeros(to->slot, config_.page_words);
     stats_.transfer_cycles += store_cycles;
-    DSA_TRACE_EMIT(tracer_, EventKind::kTransferComplete, page.value, kBackingLevel,
-                   store_cycles);
+    DSA_TRACE_EMIT(tracer_, EventKind::kTransferComplete, page.value, to->level, store_cycles);
 
     const TransferFaultKind fault = injector_ != nullptr
-                                        ? injector_->DrawTransferFault(kBackingLevel)
+                                        ? injector_->DrawTransferFault(to->level)
                                         : TransferFaultKind::kNone;
     if (fault == TransferFaultKind::kNone) {
-      return Ok();
+      return true;
     }
     if (fault == TransferFaultKind::kPermanentSlot) {
       // The write-check found a bad sector; the copy that just landed is
-      // not durable.  Retire the slot and relocate on the next attempt.
-      backing_->MarkBad(slot);
-      slot_of_.erase(page.value);
+      // not durable.  Retire the slot; the next attempt relocates.
+      to->store->MarkBad(to->slot);
+      to->slot = page.value;
       ++rel.slot_failures;
     } else {
       ++rel.transient_errors;
     }
     if (attempt >= max_retries) {
-      ++rel.lost_pages;
-      DSA_TRACE_EMIT(tracer_, EventKind::kFaultRecovery, page.value,
-                     static_cast<std::uint64_t>(RecoveryAction::kPageLost));
-      return MakeUnexpected(PageAccessError{
-          fault == TransferFaultKind::kTransient ? PageAccessErrorKind::kTransferFailed
-                                                 : PageAccessErrorKind::kSlotUnreadable,
-          page, 0});
+      break;
     }
     ++rel.retries;
     DSA_TRACE_EMIT(tracer_, EventKind::kFaultRecovery, page.value,
                    static_cast<std::uint64_t>(RecoveryAction::kRetry));
   }
+  if (has_fallback) {
+    ++rel.spill_relocations;
+  } else {
+    ++rel.lost_pages;
+    DSA_TRACE_EMIT(tracer_, EventKind::kFaultRecovery, page.value,
+                   static_cast<std::uint64_t>(RecoveryAction::kPageLost));
+  }
+  return false;
 }
 
 void Pager::EvictFrame(FrameId frame, Cycles now) {
   const FrameInfo& info = frames_.info(frame);
   DSA_ASSERT(info.occupied, "evicting an empty frame");
   const PageId page = info.page;
-  if (info.modified) {
+  // A store that exhausts every retry and spare slot loses the page's
+  // contents; the eviction still proceeds (recorded by StoreCopy).
+  if (tiers_ != nullptr) {
+    // A drum/disk level gave up its copy when the page was fetched, so every
+    // eviction writes the page out.
     ++stats_.writebacks;
-    // A write-back that exhausts every retry and spare slot loses the page's
-    // contents; the eviction still proceeds (recorded by WriteBack).
-    (void)WriteBack(page, now);
+    tiers_->PlaceEvicted(page, [this, now](PageId placed, PageHome* to, bool has_fallback) {
+      return StoreCopy(placed, to, has_fallback, now);
+    });
+  } else if (info.modified) {
+    // The single store still holds a clean page's copy; only changes go out.
+    ++stats_.writebacks;
+    PageHome to = HomeOf(page);
+    const BackingStore::SlotId was = to.slot;
+    StoreCopy(page, &to, /*has_fallback=*/false, now);
+    // Record a move to a spare, or back to the identity slot once a
+    // relocated slot went bad.
+    if (to.slot != was && to.slot == page.value) {
+      slot_of_.erase(page.value);
+    } else if (to.slot != was) {
+      slot_of_[page.value] = to.slot;
+    }
   }
   replacement_->OnEvict(frame, page);
   frames_.Evict(frame);
@@ -191,38 +239,38 @@ bool Pager::RetireFrame(FrameId frame, Cycles now) {
   return true;
 }
 
-Cycles Pager::ChargeFetchTransfer(PageId page, Cycles at) {
-  DSA_TRACE_EMIT(tracer_, EventKind::kTransferStart, page.value, kBackingLevel,
+Cycles Pager::ChargeFetchTransfer(PageId page, const PageHome& from, Cycles at) {
+  DSA_TRACE_EMIT(tracer_, EventKind::kTransferStart, page.value, from.level,
                  /*direction=*/0);
-  const BackingStore::SlotId slot = SlotFor(page);
+  const StorageLevel& level = from.store->level();
   Cycles wait = 0;
-  if (backing_->IsBad(slot)) {
+  if (from.store->IsBad(from.slot)) {
     // The page's contents were lost with its sector; the device still spins
     // through a full transfer of zeros from the replacement area.
-    const Cycles duration = backing_->level().TransferTime(config_.page_words);
-    if (channel_ != nullptr) {
+    const Cycles duration = level.TransferTime(config_.page_words);
+    if (from.channel != nullptr) {
       const TransferChannel::Completion done =
-          channel_->Schedule(backing_->level(), config_.page_words, at);
+          from.channel->Schedule(level, config_.page_words, at);
       wait = done.finish - at;
     } else {
       wait = duration;
     }
     stats_.transfer_cycles += duration;
-    DSA_TRACE_EMIT(tracer_, EventKind::kTransferComplete, page.value, kBackingLevel, wait);
+    DSA_TRACE_EMIT(tracer_, EventKind::kTransferComplete, page.value, from.level, wait);
     return wait;
   }
   // Nothing reads the fetched words: charge the transfer without copying.
-  if (channel_ != nullptr) {
+  if (from.channel != nullptr) {
     const TransferChannel::Completion done =
-        channel_->Schedule(backing_->level(), config_.page_words, at);
+        from.channel->Schedule(level, config_.page_words, at);
     wait = done.finish - at;
     // Account the device time once; Fetch() tracks device-side counters.
-    stats_.transfer_cycles += backing_->Fetch(slot, config_.page_words, nullptr);
+    stats_.transfer_cycles += from.store->Fetch(from.slot, config_.page_words, nullptr);
   } else {
-    wait = backing_->Fetch(slot, config_.page_words, nullptr);
+    wait = from.store->Fetch(from.slot, config_.page_words, nullptr);
     stats_.transfer_cycles += wait;
   }
-  DSA_TRACE_EMIT(tracer_, EventKind::kTransferComplete, page.value, kBackingLevel, wait);
+  DSA_TRACE_EMIT(tracer_, EventKind::kTransferComplete, page.value, from.level, wait);
   return wait;
 }
 
@@ -231,14 +279,16 @@ Expected<Cycles, PageAccessError> Pager::FetchInto(PageId page, FrameId frame, C
   ReliabilityStats& rel = stats_.reliability;
   const int max_retries = injector_ != nullptr ? injector_->max_retries() : 0;
   Cycles wait = 0;
-  for (int attempt = 0;; ++attempt) {
-    const Cycles attempt_wait = ChargeFetchTransfer(page, now + wait);
+  const PageHome from = HomeOf(page);
+  // A page with no copy anywhere zero-fills without a transfer.
+  for (int attempt = 0; from.store != nullptr; ++attempt) {
+    const Cycles attempt_wait = ChargeFetchTransfer(page, from, now + wait);
     wait += attempt_wait;
     if (attempt > 0) {
       rel.retry_cycles += attempt_wait;
     }
     const TransferFaultKind fault = injector_ != nullptr
-                                        ? injector_->DrawTransferFault(kBackingLevel)
+                                        ? injector_->DrawTransferFault(from.level)
                                         : TransferFaultKind::kNone;
     if (fault == TransferFaultKind::kNone) {
       break;
@@ -247,10 +297,13 @@ Expected<Cycles, PageAccessError> Pager::FetchInto(PageId page, FrameId frame, C
       // Bad sector under the read head.  If this slot held the page's only
       // copy the contents are unrecoverable; an empty slot just reads as
       // zeros from anywhere, so nothing is lost.
-      const BackingStore::SlotId slot = SlotFor(page);
-      const bool had_copy = backing_->Contains(slot);
-      backing_->MarkBad(slot);
-      slot_of_.erase(page.value);
+      const bool had_copy = from.store->Contains(from.slot);
+      from.store->MarkBad(from.slot);
+      if (tiers_ != nullptr) {
+        tiers_->Forget(page);
+      } else {
+        slot_of_.erase(page.value);
+      }
       ++rel.slot_failures;
       if (had_copy) {
         ++rel.lost_pages;
@@ -271,6 +324,9 @@ Expected<Cycles, PageAccessError> Pager::FetchInto(PageId page, FrameId frame, C
     ++rel.retries;
     DSA_TRACE_EMIT(tracer_, EventKind::kFaultRecovery, page.value,
                    static_cast<std::uint64_t>(RecoveryAction::kRetry));
+  }
+  if (tiers_ != nullptr) {
+    tiers_->OnFetched(page);
   }
   frames_.Load(frame, page, now);
   resident_.Insert(page.value, frame);
@@ -350,7 +406,11 @@ PageAccessResult Pager::Access(PageId page, AccessKind kind, Cycles now) {
         !injector_->DrawFrameFailure()) {
       break;
     }
-    wasted += ChargeFetchTransfer(page, now + wasted);
+    // The transfer ran before the landing failed; charge it against the
+    // page's current home (an eviction's drum spill may have moved it).
+    if (const PageHome landing = HomeOf(page); landing.store != nullptr) {
+      wasted += ChargeFetchTransfer(page, landing, now + wasted);
+    }
     DSA_TRACE_EMIT(tracer_, EventKind::kFaultRecovery, page.value,
                    static_cast<std::uint64_t>(RecoveryAction::kFrameParity));
     frames_.RetireFrame(*frame);
@@ -442,6 +502,7 @@ void SaveResidency(SnapshotWriter* w, const ResidentIndex& resident) {
 }  // namespace
 
 void Pager::SaveState(SnapshotWriter* w) const {
+  DSA_ASSERT(tiers_ == nullptr, "a pager over a drum/disk home does not checkpoint");
   frames_.SaveState(w);
   replacement_->SaveState(w);
   SaveResidency(w, resident_);

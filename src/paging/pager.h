@@ -6,6 +6,12 @@
 // (segment, page) pairs into the id.  Residency callbacks keep whatever
 // address mapper is in use coherent with the frame table.
 //
+// An absent page's copy lives in its backing home.  The default home is one
+// backing store where every page keeps an identity slot, fetched or not; a
+// DrumDiskBacking (drum_disk_backing.h) is the multi-level alternative.  The
+// fault loop is the same for both: the home only says where a page's copy
+// is, takes evicted pages, and hears about fetches and lost copies.
+//
 // With a FaultInjector attached the pager becomes resilient rather than
 // merely correct: transient transfer errors are retried (bounded by
 // max_retries) with fresh latency charges, permanently failed backing slots
@@ -77,6 +83,19 @@ struct PageAccessError {
 
 using PageAccessResult = Expected<PageAccessOutcome, PageAccessError>;
 
+// Where an absent page's copy lives: the store and slot to read it from, the
+// channel the transfer queues on (null: no queueing), and the level index
+// the injector and the tracer know the store by.  A null store means the
+// page has no copy anywhere and zero-fills without a transfer.
+struct PageHome {
+  BackingStore* store{nullptr};
+  TransferChannel* channel{nullptr};
+  std::size_t level{0};
+  BackingStore::SlotId slot{0};
+};
+
+class DrumDiskBacking;
+
 struct PagerStats {
   std::uint64_t accesses{0};
   std::uint64_t faults{0};
@@ -107,14 +126,17 @@ class Pager {
   Pager(PagerConfig config, BackingStore* backing, TransferChannel* channel,
         std::unique_ptr<ReplacementPolicy> replacement, std::unique_ptr<FetchPolicy> fetch,
         AdviceRegistry* advice, FaultInjector* injector = nullptr);
+  // Pages against a drum+disk hierarchy instead of one backing store.
+  // `tiers` is borrowed and must outlive the pager.
+  Pager(PagerConfig config, DrumDiskBacking* tiers, std::unique_ptr<ReplacementPolicy> replacement,
+        std::unique_ptr<FetchPolicy> fetch, AdviceRegistry* advice,
+        FaultInjector* injector = nullptr);
 
-  // Attaches the shared event tracer (forwarded to the frame table).  The
-  // pager advances the tracer's watermark clock at every externally-timed
-  // entry point, then emits fault / victim / transfer / recovery events.
-  void SetTracer(EventTracer* tracer) {
-    tracer_ = tracer;
-    frames_.SetTracer(tracer);
-  }
+  // Attaches the shared event tracer (forwarded to the frame table and a
+  // drum/disk home).  The pager advances the tracer's watermark clock at
+  // every externally-timed entry point, then emits fault / victim /
+  // transfer / recovery events.
+  void SetTracer(EventTracer* tracer);
 
   void SetResidencyCallbacks(LoadCallback on_load, EvictCallback on_evict) {
     on_load_ = std::move(on_load);
@@ -164,28 +186,34 @@ class Pager {
   // and injector are serialized by their owners; the fetch policy is
   // stateless.  LoadState cross-checks the residency map against the frame
   // table (same page, occupied frame, full coverage) and reports mismatches
-  // through the reader.
+  // through the reader.  A pager over a DrumDiskBacking does not checkpoint.
   void SaveState(SnapshotWriter* w) const;
   void LoadState(SnapshotReader* r);
 
  private:
+  Pager(PagerConfig config, BackingStore* backing, TransferChannel* channel,
+        DrumDiskBacking* tiers, std::unique_ptr<ReplacementPolicy> replacement,
+        std::unique_ptr<FetchPolicy> fetch, AdviceRegistry* advice, FaultInjector* injector);
+
   // Frees one frame via the replacement policy; returns it.
   FrameId EvictOne(Cycles now);
-  // Vacates a specific frame, writing back if modified.
+  // Vacates a specific frame, writing the page to its home first when the
+  // home holds no current copy.
   void EvictFrame(FrameId frame, Cycles now);
   // Transfers `page` into `frame`; returns the program-visible wait.  On
   // error the frame has been returned to the free pool.
   Expected<Cycles, PageAccessError> FetchInto(PageId page, FrameId frame, Cycles now,
                                               bool demand);
-  // Writes the page's core copy out to its backing slot, retrying and
-  // relocating around failed slots; an error means the contents are lost.
-  Status<PageAccessError> WriteBack(PageId page, Cycles now);
-  // Charges one fetch transfer (channel occupancy + device time) issued at
-  // `at`; returns the program-visible wait of that single attempt.
-  Cycles ChargeFetchTransfer(PageId page, Cycles at);
-  // The page's current backing slot (relocations move pages off their
-  // identity slot).
-  BackingStore::SlotId SlotFor(PageId page) const;
+  // Writes the page's core copy to `to`, retrying transient errors and
+  // relocating off bad slots; `to->slot` ends at the slot written last.
+  // False when the level ran out of spares or retries: a spill when the
+  // home has a level to fall back to, else the contents are lost.
+  bool StoreCopy(PageId page, PageHome* to, bool has_fallback, Cycles now);
+  // Charges one fetch transfer from `from` (channel occupancy + device time)
+  // issued at `at`; returns the program-visible wait of that single attempt.
+  Cycles ChargeFetchTransfer(PageId page, const PageHome& from, Cycles at);
+  // Where the page's copy lives now.
+  PageHome HomeOf(PageId page);
   // Applies wont-need advice and policy shrink before hunting for frames.
   void ApplyReleases(Cycles now);
   // Refreshes the retirement gauges after a frame leaves service.
@@ -193,8 +221,10 @@ class Pager {
 
   PagerConfig config_;
   EventTracer* tracer_{nullptr};
+  // The single backing store and its channel, or null with a drum/disk home.
   BackingStore* backing_;
   TransferChannel* channel_;
+  DrumDiskBacking* tiers_;
   std::unique_ptr<ReplacementPolicy> replacement_;
   std::unique_ptr<FetchPolicy> fetch_;
   AdviceRegistry* advice_;

@@ -9,20 +9,27 @@
 //   * Recovery paths, scripted fault by fault: transient retries (with fresh
 //     latency charges), retry exhaustion, permanent-slot relocation
 //     round-trips, frame-failure retirement, and the all-pinned
-//     kNoUsableFrames error.
-//   * The same guarantees for the HierarchyPager.
+//     kNoUsableFrames error; and all of them at once in a dense seeded fault
+//     stream whose checkpoint bytes and events are pinned by digest.
+//   * The same guarantees for a pager over a drum+disk home (DrumDiskBacking),
+//     plus its own paths: zero-cost parity landings of pages with no copy,
+//     lost disk copies, and drum-to-disk spills.
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <deque>
 #include <memory>
 #include <vector>
 
 #include "src/core/rng.h"
+#include "src/core/snapshot.h"
 #include "src/mem/fault_injection.h"
-#include "src/paging/hierarchy_pager.h"
+#include "src/obs/export.h"
+#include "src/obs/tracer.h"
 #include "src/paging/pager.h"
 #include "src/paging/replacement_simple.h"
+#include "tests/drum_disk_rig.h"
 #include "tests/replacement_naive.h"
 
 namespace dsa {
@@ -492,29 +499,93 @@ TEST(ResilientPagerTest, AllFramesPinnedReturnsNoUsableFrames) {
   EXPECT_EQ(pager.stats().reliability.failed_accesses, 1u);
 }
 
-// --- hierarchy pager ---------------------------------------------------------
+// Pins the single-store pager's recovery paths under a dense seeded fault
+// stream: transient retries, relocations, spare slots running out (lost
+// pages), permanent read faults and frame parity.  Each step folds in the
+// pager's and the backing store's checkpoint bytes, so the relocation map,
+// the bad-slot set and every counter are covered, and the event JSONL is
+// pinned alongside.
+TEST(ResilientPagerTest, SeededFaultStreamKeepsItsPinnedDigest) {
+  // Room for 40 pages of 16 words: relocations past that find no spare.
+  BackingStore backing(MakeDrumLevel("drum", 40 * 16, /*word_time=*/2,
+                                     /*rotational_delay=*/100));
+  TransferChannel channel;
+  FaultInjectorConfig faults;
+  faults.seed = 0x5107;
+  faults.rates = FaultRates{0.06, 0.03, 0.002};
+  FaultInjector injector(faults);
+  EventTracer tracer(/*capacity=*/0);
+  PagerConfig config;
+  config.page_words = 16;
+  config.frames = 8;
+  Pager pager(config, &backing, &channel, std::make_unique<LruReplacement>(),
+              std::make_unique<DemandFetch>(), /*advice=*/nullptr, &injector);
+  pager.SetTracer(&tracer);
 
-HierarchyPagerConfig SmallHierarchy() {
-  HierarchyPagerConfig config;
-  config.page_words = 64;
-  config.frames = 3;
+  Rng rng(0x5107);
+  SnapshotWriter trail;
+  Cycles now = 0;
+  for (int step = 0; step < 4000; ++step) {
+    const PageId page{rng.Below(10) < 6 ? rng.Below(6) : rng.Below(32)};
+    const AccessKind kind = rng.Below(3) == 0 ? AccessKind::kWrite : AccessKind::kRead;
+    const PageAccessResult outcome = pager.Access(page, kind, now);
+    const Cycles wait =
+        outcome.has_value() ? outcome->wait_cycles : outcome.error().wait_cycles;
+    trail.U64(outcome.has_value() ? 0 : 1 + static_cast<std::uint64_t>(outcome.error().kind));
+    trail.U64(wait);
+    SnapshotWriter state;
+    pager.SaveState(&state);
+    backing.SaveState(&state);
+    trail.U64(Fnv64(state.TakePayload()));
+    now += wait + 1;
+  }
+  const ReliabilityStats& rel = pager.stats().reliability;
+  EXPECT_GT(rel.retries, 0u);
+  EXPECT_GT(rel.relocations, 0u);
+  EXPECT_GT(rel.frame_failures, 0u);
+  EXPECT_GT(rel.lost_pages, 0u);
+  EXPECT_GT(rel.failed_accesses, 0u);
+
+  char digest[24];
+  std::snprintf(digest, sizeof(digest), "%016llx",
+                static_cast<unsigned long long>(Fnv64(trail.TakePayload())));
+  EXPECT_STREQ(digest, "428ee1ba198ac5b5");
+  if (DSA_TRACE) {
+    std::snprintf(digest, sizeof(digest), "%016llx",
+                  static_cast<unsigned long long>(Fnv64(EventsToJsonl(tracer.Snapshot()))));
+    EXPECT_STREQ(digest, "1a53e2e82fc3ed05");
+  }
+}
+
+// --- drum+disk home ----------------------------------------------------------
+
+constexpr PagerConfig kHierarchyCore{.page_words = 64, .frames = 3};
+
+DrumDiskConfig SmallHierarchy() {
+  DrumDiskConfig config;
   config.drum_pages = 2;
   return config;
 }
 
+// One read on a drum+disk pager that must complete; the stall it cost.
+Cycles ReadPage(Pager& pager, std::uint64_t page, Cycles now) {
+  return pager.Access(PageId{page}, AccessKind::kRead, now)->wait_cycles;
+}
+
 struct HierarchyReplay {
-  HierarchyPagerStats stats;
+  PagerStats stats;
+  DrumDiskStats tiers;
   Cycles end_time{0};
 };
 
 HierarchyReplay ReplayHierarchy(const std::vector<PageId>& refs, FaultInjector* injector) {
-  HierarchyPager pager(SmallHierarchy(), std::make_unique<LruReplacement>(), injector);
+  DrumDiskRig rig(kHierarchyCore, SmallHierarchy(), injector);
   Cycles now = 0;
   for (const PageId page : refs) {
-    const auto outcome = pager.Access(page, AccessKind::kRead, now);
-    now += 1 + (outcome.has_value() ? *outcome : outcome.error().wait_cycles);
+    const auto outcome = rig.pager.Access(page, AccessKind::kRead, now);
+    now += 1 + (outcome.has_value() ? outcome->wait_cycles : outcome.error().wait_cycles);
   }
-  return HierarchyReplay{pager.stats(), now};
+  return HierarchyReplay{rig.pager.stats(), rig.tiers.stats(), now};
 }
 
 TEST(HierarchyFaultTest, ZeroRateInjectorMatchesNoInjector) {
@@ -524,10 +595,10 @@ TEST(HierarchyFaultTest, ZeroRateInjectorMatchesNoInjector) {
   const HierarchyReplay with = ReplayHierarchy(refs, &zero_rate);
   EXPECT_EQ(without.stats.accesses, with.stats.accesses);
   EXPECT_EQ(without.stats.faults, with.stats.faults);
-  EXPECT_EQ(without.stats.drum_hits, with.stats.drum_hits);
-  EXPECT_EQ(without.stats.disk_hits, with.stats.disk_hits);
-  EXPECT_EQ(without.stats.zero_fills, with.stats.zero_fills);
-  EXPECT_EQ(without.stats.demotions, with.stats.demotions);
+  EXPECT_EQ(without.tiers.drum_hits, with.tiers.drum_hits);
+  EXPECT_EQ(without.tiers.disk_hits, with.tiers.disk_hits);
+  EXPECT_EQ(without.tiers.zero_fills, with.tiers.zero_fills);
+  EXPECT_EQ(without.tiers.demotions, with.tiers.demotions);
   EXPECT_EQ(without.stats.writebacks, with.stats.writebacks);
   EXPECT_EQ(without.stats.wait_cycles, with.stats.wait_cycles);
   EXPECT_EQ(without.end_time, with.end_time);
@@ -537,19 +608,20 @@ TEST(HierarchyFaultTest, ZeroRateInjectorMatchesNoInjector) {
 TEST(HierarchyFaultTest, TransientDrumFetchRetries) {
   // Reference run: fill three frames, spill page 0 to the drum, re-fault it.
   ScriptedInjector clean;
-  HierarchyPager reference(SmallHierarchy(), std::make_unique<LruReplacement>(), &clean);
+  DrumDiskRig reference(kHierarchyCore, SmallHierarchy(), &clean);
   Cycles now = 0;
   for (std::uint64_t p = 0; p < 4; ++p) {  // p=3 evicts page 0 to the drum
-    now += *reference.Access(PageId{p}, AccessKind::kRead, now) + 1;
+    now += ReadPage(reference.pager, p, now) + 1;
   }
-  const Cycles clean_wait = *reference.Access(PageId{0}, AccessKind::kRead, now + 500000);
+  const Cycles clean_wait = ReadPage(reference.pager, 0, now + 500000);
   ASSERT_GT(clean_wait, 0u);
 
   ScriptedInjector faulty;
-  HierarchyPager pager(SmallHierarchy(), std::make_unique<LruReplacement>(), &faulty);
+  DrumDiskRig rig(kHierarchyCore, SmallHierarchy(), &faulty);
+  Pager& pager = rig.pager;
   now = 0;
   for (std::uint64_t p = 0; p < 4; ++p) {
-    now += *pager.Access(PageId{p}, AccessKind::kRead, now) + 1;
+    now += ReadPage(pager, p, now) + 1;
   }
   // Re-faulting page 0 first evicts the LRU frame to the drum (one clean
   // store draw), then fetches page 0 — whose first attempt glitches.
@@ -562,24 +634,25 @@ TEST(HierarchyFaultTest, TransientDrumFetchRetries) {
   EXPECT_EQ(rel.retries, 1u);
   // The retry's full transfer time is exactly the extra stall over the
   // clean run.
-  EXPECT_GT(*outcome, clean_wait);
-  EXPECT_EQ(rel.retry_cycles, *outcome - clean_wait);
-  EXPECT_EQ(pager.stats().drum_hits, reference.stats().drum_hits);
+  EXPECT_GT(outcome->wait_cycles, clean_wait);
+  EXPECT_EQ(rel.retry_cycles, outcome->wait_cycles - clean_wait);
+  EXPECT_EQ(rig.tiers.stats().drum_hits, reference.tiers.stats().drum_hits);
   EXPECT_TRUE(pager.IsResident(PageId{0}));
 }
 
 TEST(HierarchyFaultTest, PermanentDrumStoreFailureRelocates) {
   ScriptedInjector injector;
-  HierarchyPager pager(SmallHierarchy(), std::make_unique<LruReplacement>(), &injector);
+  DrumDiskRig rig(kHierarchyCore, SmallHierarchy(), &injector);
+  Pager& pager = rig.pager;
   Cycles now = 0;
   for (std::uint64_t p = 0; p < 3; ++p) {
-    now += *pager.Access(PageId{p}, AccessKind::kRead, now) + 1;
+    now += ReadPage(pager, p, now) + 1;
   }
   // Page 3 evicts page 0 to the drum; the first landing's write-check finds
   // a bad sector and the retry relocates within the drum.
   injector.ScriptTransfer(TransferFaultKind::kPermanentSlot);  // drum store try 1
   injector.ScriptTransfer(TransferFaultKind::kNone);           // drum store try 2
-  now += *pager.Access(PageId{3}, AccessKind::kRead, now) + 1;
+  now += ReadPage(pager, 3, now) + 1;
   const ReliabilityStats& rel = pager.stats().reliability;
   EXPECT_EQ(rel.slot_failures, 1u);
   EXPECT_EQ(rel.relocations, 1u);
@@ -588,36 +661,38 @@ TEST(HierarchyFaultTest, PermanentDrumStoreFailureRelocates) {
   // Page 0 still fetches back fine — from its spare drum slot.
   const auto again = pager.Access(PageId{0}, AccessKind::kRead, now + 500000);
   ASSERT_TRUE(again.has_value());
-  EXPECT_EQ(pager.stats().drum_hits, 1u);
+  EXPECT_EQ(rig.tiers.stats().drum_hits, 1u);
   EXPECT_EQ(rel.failed_accesses, 0u);
   EXPECT_TRUE(pager.IsResident(PageId{0}));
 }
 
 TEST(HierarchyFaultTest, ParityFailedFirstTouchLandingChargesNothing) {
   ScriptedInjector injector;
-  HierarchyPager pager(SmallHierarchy(), std::make_unique<LruReplacement>(), &injector);
+  DrumDiskRig rig(kHierarchyCore, SmallHierarchy(), &injector);
+  Pager& pager = rig.pager;
   // A first-touch page has no backing copy: the landing that parity-fails
   // moved no data, so it costs no time; the page zero-fills in the next frame.
   injector.ScriptFrameFailure(true);
   const auto outcome = pager.Access(PageId{5}, AccessKind::kRead, 0);
   ASSERT_TRUE(outcome.has_value());
-  EXPECT_EQ(*outcome, 0u);
+  EXPECT_EQ(outcome->wait_cycles, 0u);
   EXPECT_EQ(pager.stats().reliability.frame_failures, 1u);
   EXPECT_EQ(pager.stats().reliability.retired_frames, 1u);
-  EXPECT_EQ(pager.stats().zero_fills, 1u);
+  EXPECT_EQ(rig.tiers.stats().zero_fills, 1u);
   EXPECT_EQ(pager.stats().wait_cycles, 0u);
   EXPECT_TRUE(pager.IsResident(PageId{5}));
 }
 
 TEST(HierarchyFaultTest, PermanentDiskFetchFaultLosesThePage) {
-  HierarchyPagerConfig config = SmallHierarchy();
+  DrumDiskConfig config = SmallHierarchy();
   config.demotion = DemotionPolicy::kAlwaysDisk;
   config.promote_on_disk_fault = false;
   ScriptedInjector injector;
-  HierarchyPager pager(config, std::make_unique<LruReplacement>(), &injector);
+  DrumDiskRig rig(kHierarchyCore, config, &injector);
+  Pager& pager = rig.pager;
   Cycles now = 0;
   for (std::uint64_t p = 0; p < 4; ++p) {  // p=3 evicts page 0 to disk
-    now += *pager.Access(PageId{p}, AccessKind::kRead, now) + 1;
+    now += ReadPage(pager, p, now) + 1;
   }
   // Re-faulting page 0 stores the LRU victim on disk (clean), then reads
   // page 0 from a sector that just went bad: its only copy is gone.
@@ -635,44 +710,44 @@ TEST(HierarchyFaultTest, PermanentDiskFetchFaultLosesThePage) {
 
   // The page has no home left: the next touch zero-fills into the frame the
   // failed access gave back, with no transfer and no eviction.
-  const std::uint64_t zero_fills = pager.stats().zero_fills;
+  const std::uint64_t zero_fills = rig.tiers.stats().zero_fills;
   const std::uint64_t writebacks = pager.stats().writebacks;
   const auto again = pager.Access(PageId{0}, AccessKind::kRead, now + 1000000);
   ASSERT_TRUE(again.has_value());
-  EXPECT_EQ(*again, 0u);
-  EXPECT_EQ(pager.stats().zero_fills, zero_fills + 1);
+  EXPECT_EQ(again->wait_cycles, 0u);
+  EXPECT_EQ(rig.tiers.stats().zero_fills, zero_fills + 1);
   EXPECT_EQ(pager.stats().writebacks, writebacks);
-  EXPECT_EQ(pager.stats().disk_hits, 0u);
+  EXPECT_EQ(rig.tiers.stats().disk_hits, 0u);
   EXPECT_TRUE(pager.IsResident(PageId{0}));
 }
 
 TEST(HierarchyFaultTest, DrumWithoutSpareSlotsSpillsToDisk) {
-  HierarchyPagerConfig config = SmallHierarchy();
+  DrumDiskConfig config = SmallHierarchy();
   // Half a page of drum: once page 0's drum slot goes bad there is no room
   // for a spare, so the page falls through to disk instead of being lost.
   config.drum_level = MakeDrumLevel("drum", 32, /*word_time=*/2, /*rotational_delay=*/3000);
   ScriptedInjector injector;
-  HierarchyPager pager(config, std::make_unique<LruReplacement>(), &injector);
+  DrumDiskRig rig(kHierarchyCore, config, &injector);
+  Pager& pager = rig.pager;
   Cycles now = 0;
   for (std::uint64_t p = 0; p < 3; ++p) {
-    now += *pager.Access(PageId{p}, AccessKind::kRead, now) + 1;
+    now += ReadPage(pager, p, now) + 1;
   }
   injector.ScriptTransfer(TransferFaultKind::kPermanentSlot);  // drum store of page 0
   injector.ScriptTransfer(TransferFaultKind::kNone);           // its disk store
-  now += *pager.Access(PageId{3}, AccessKind::kRead, now) + 1;
+  now += ReadPage(pager, 3, now) + 1;
   const ReliabilityStats& rel = pager.stats().reliability;
   EXPECT_EQ(rel.slot_failures, 1u);
   EXPECT_EQ(rel.relocations, 0u);
   EXPECT_EQ(rel.spill_relocations, 1u);
   EXPECT_EQ(rel.lost_pages, 0u);
-  EXPECT_EQ(pager.drum_page_count(), 0u);
+  EXPECT_EQ(rig.tiers.drum_page_count(), 0u);
 
   // Page 0 comes back from disk.
-  const auto again = pager.Access(PageId{0}, AccessKind::kRead, now + 500000);
-  ASSERT_TRUE(again.has_value());
-  EXPECT_GE(*again, 40000u);
-  EXPECT_EQ(pager.stats().disk_hits, 1u);
-  EXPECT_EQ(pager.stats().drum_hits, 0u);
+  const Cycles again = ReadPage(pager, 0, now + 500000);
+  EXPECT_GE(again, 40000u);
+  EXPECT_EQ(rig.tiers.stats().disk_hits, 1u);
+  EXPECT_EQ(rig.tiers.stats().drum_hits, 0u);
 }
 
 }  // namespace

@@ -10,16 +10,15 @@
 #include "src/mem/fault_injection.h"
 #include "src/obs/export.h"
 #include "src/obs/tracer.h"
-#include "src/paging/hierarchy_pager.h"
-#include "src/paging/replacement_simple.h"
+#include "tests/drum_disk_rig.h"
 
 namespace dsa {
 namespace {
 
-HierarchyPagerConfig SmallConfig() {
-  HierarchyPagerConfig config;
-  config.page_words = 64;
-  config.frames = 4;
+constexpr PagerConfig kCore{.page_words = 64, .frames = 4};
+
+DrumDiskConfig SmallConfig() {
+  DrumDiskConfig config;
   config.drum_pages = 8;
   config.drum_level = MakeDrumLevel("drum", 1u << 16, /*word_time=*/2,
                                     /*rotational_delay=*/200);
@@ -28,122 +27,124 @@ HierarchyPagerConfig SmallConfig() {
   return config;
 }
 
-HierarchyPager MakePager(HierarchyPagerConfig config = SmallConfig()) {
-  return HierarchyPager(config, std::make_unique<LruReplacement>());
+// One reference; the stall the program sees.
+Cycles Read(Pager& pager, std::uint64_t page, Cycles now) {
+  return pager.Access(PageId{page}, AccessKind::kRead, now)->wait_cycles;
 }
 
 TEST(HierarchyPagerTest, FirstTouchIsZeroFillWithNoTransfer) {
-  HierarchyPager pager = MakePager();
-  const Cycles wait = *pager.Access(PageId{1}, AccessKind::kRead, 0);
+  DrumDiskRig rig(kCore, SmallConfig());
+  const Cycles wait = Read(rig.pager, 1, 0);
   EXPECT_EQ(wait, 0u);
-  EXPECT_EQ(pager.stats().zero_fills, 1u);
-  EXPECT_EQ(pager.stats().drum_hits, 0u);
-  EXPECT_TRUE(pager.IsResident(PageId{1}));
+  EXPECT_EQ(rig.tiers.stats().zero_fills, 1u);
+  EXPECT_EQ(rig.tiers.stats().drum_hits, 0u);
+  EXPECT_TRUE(rig.pager.IsResident(PageId{1}));
 }
 
 TEST(HierarchyPagerTest, EvictedPageLandsOnDrumAndComesBackFast) {
-  HierarchyPager pager = MakePager();
+  DrumDiskRig rig(kCore, SmallConfig());
   Cycles now = 0;
   // Fill the 4 frames, then push page 0 out.
   for (std::uint64_t p = 0; p <= 4; ++p) {
-    now += *pager.Access(PageId{p}, AccessKind::kRead, now) + 1;
+    now += Read(rig.pager, p, now) + 1;
   }
-  EXPECT_FALSE(pager.IsResident(PageId{0}));
-  EXPECT_EQ(pager.drum_page_count(), 1u);
+  EXPECT_FALSE(rig.pager.IsResident(PageId{0}));
+  EXPECT_EQ(rig.tiers.drum_page_count(), 1u);
   // Refetch once the drum channel is quiet.  The fault must first write the
   // LRU victim to the drum, then read page 0 behind it on the same channel:
   // two drum transfers of (200 + 64*2) = 328 cycles each — still far below
   // the disk's 5000-cycle start-up.
-  const Cycles wait = *pager.Access(PageId{0}, AccessKind::kRead, now + 100000);
-  EXPECT_EQ(pager.stats().drum_hits, 1u);
+  const Cycles wait = Read(rig.pager, 0, now + 100000);
+  EXPECT_EQ(rig.tiers.stats().drum_hits, 1u);
   EXPECT_EQ(wait, 2 * (200u + 64 * 2));
 }
 
 TEST(HierarchyPagerTest, DrumOverflowDemotesToDisk) {
-  HierarchyPagerConfig config = SmallConfig();
+  DrumDiskConfig config = SmallConfig();
   config.drum_pages = 2;  // tiny drum: the third eviction demotes
-  HierarchyPager pager(config, std::make_unique<LruReplacement>());
+  DrumDiskRig rig(kCore, config);
   Cycles now = 0;
   for (std::uint64_t p = 0; p < 12; ++p) {
-    now += *pager.Access(PageId{p}, AccessKind::kRead, now) + 1;
+    now += Read(rig.pager, p, now) + 1;
   }
-  EXPECT_GT(pager.stats().demotions, 0u);
-  EXPECT_LE(pager.drum_page_count(), 2u);
+  EXPECT_GT(rig.tiers.stats().demotions, 0u);
+  EXPECT_LE(rig.tiers.drum_page_count(), 2u);
 }
 
 TEST(HierarchyPagerTest, DiskFaultCostsMoreThanDrumFault) {
-  HierarchyPagerConfig config = SmallConfig();
+  DrumDiskConfig config = SmallConfig();
   config.drum_pages = 1;
-  HierarchyPager pager(config, std::make_unique<LruReplacement>());
+  DrumDiskRig rig(kCore, config);
   Cycles now = 0;
   for (std::uint64_t p = 0; p < 8; ++p) {
-    now += *pager.Access(PageId{p}, AccessKind::kRead, now) + 1;
+    now += Read(rig.pager, p, now) + 1;
   }
   // Pages 0..2 have been demoted to disk; page 6 sits on the drum (page 7's
   // eviction may vary) — fetch the definitely-disk page 0.
-  const Cycles disk_wait = *pager.Access(PageId{0}, AccessKind::kRead, now + 100000);
+  const Cycles disk_wait = Read(rig.pager, 0, now + 100000);
   EXPECT_GE(disk_wait, 5000u);
-  EXPECT_GT(pager.stats().disk_hits, 0u);
+  EXPECT_GT(rig.tiers.stats().disk_hits, 0u);
 }
 
 TEST(HierarchyPagerTest, PromotionStagesDiskFaultedPagesOnDrum) {
-  HierarchyPagerConfig config = SmallConfig();
+  DrumDiskConfig config = SmallConfig();
   config.drum_pages = 1;
   config.demotion = DemotionPolicy::kAlwaysDisk;
   config.promote_on_disk_fault = true;
-  HierarchyPager pager(config, std::make_unique<LruReplacement>());
+  DrumDiskRig rig(kCore, config);
   Cycles now = 0;
   for (std::uint64_t p = 0; p < 8; ++p) {
-    now += *pager.Access(PageId{p}, AccessKind::kRead, now) + 1;
+    now += Read(rig.pager, p, now) + 1;
   }
   // Fault page 0 back from disk (promotion evidence), then evict it again.
-  now += *pager.Access(PageId{0}, AccessKind::kRead, now) + 1;
+  now += Read(rig.pager, 0, now) + 1;
   for (std::uint64_t p = 20; p < 24; ++p) {
-    now += *pager.Access(PageId{p}, AccessKind::kRead, now) + 1;
+    now += Read(rig.pager, p, now) + 1;
   }
   // The re-eviction staged page 0 on the drum despite kAlwaysDisk.
-  EXPECT_EQ(pager.drum_page_count(), 1u);
-  const Cycles wait = *pager.Access(PageId{0}, AccessKind::kRead, now + 100000);
-  EXPECT_EQ(pager.stats().drum_hits, 1u);
+  EXPECT_EQ(rig.tiers.drum_page_count(), 1u);
+  const Cycles wait = Read(rig.pager, 0, now + 100000);
+  EXPECT_EQ(rig.tiers.stats().drum_hits, 1u);
   EXPECT_LT(wait, 5000u);
 }
 
 TEST(HierarchyPagerTest, AlwaysDiskPolicySkipsTheDrum) {
-  HierarchyPagerConfig config = SmallConfig();
+  DrumDiskConfig config = SmallConfig();
   config.demotion = DemotionPolicy::kAlwaysDisk;
   config.promote_on_disk_fault = false;
-  HierarchyPager pager(config, std::make_unique<LruReplacement>());
+  DrumDiskRig rig(kCore, config);
   Cycles now = 0;
   for (std::uint64_t p = 0; p < 12; ++p) {
-    now += *pager.Access(PageId{p}, AccessKind::kRead, now) + 1;
+    now += Read(rig.pager, p, now) + 1;
   }
-  EXPECT_EQ(pager.drum_page_count(), 0u);
-  EXPECT_EQ(pager.stats().demotions, 0u);
+  EXPECT_EQ(rig.tiers.drum_page_count(), 0u);
+  EXPECT_EQ(rig.tiers.stats().demotions, 0u);
 }
 
 TEST(HierarchyPagerTest, DrumServiceFractionSummarises) {
-  HierarchyPager pager = MakePager();
+  DrumDiskRig rig(kCore, SmallConfig());
   Cycles now = 0;
   // Loop over 6 pages with 4 frames: steady re-faulting, all served by drum.
   for (int lap = 0; lap < 10; ++lap) {
     for (std::uint64_t p = 0; p < 6; ++p) {
-      now += *pager.Access(PageId{p}, AccessKind::kRead, now) + 1;
+      now += Read(rig.pager, p, now) + 1;
     }
   }
-  EXPECT_GT(pager.stats().drum_hits, 0u);
-  EXPECT_DOUBLE_EQ(pager.stats().DrumServiceFraction(), 1.0);
+  EXPECT_GT(rig.tiers.stats().drum_hits, 0u);
+  EXPECT_DOUBLE_EQ(rig.tiers.stats().DrumServiceFraction(), 1.0);
 }
 
 TEST(HierarchyPagerTest, StatsAccumulateConsistently) {
-  HierarchyPager pager = MakePager();
+  DrumDiskRig rig(kCore, SmallConfig());
   Cycles now = 0;
   for (std::uint64_t p = 0; p < 20; ++p) {
-    now += *pager.Access(PageId{p % 7}, AccessKind::kWrite, now) + 1;
+    now += rig.pager.Access(PageId{p % 7}, AccessKind::kWrite, now)->wait_cycles + 1;
   }
-  const HierarchyPagerStats& stats = pager.stats();
+  const PagerStats& stats = rig.pager.stats();
+  const DrumDiskStats& tiers = rig.tiers.stats();
   EXPECT_EQ(stats.accesses, 20u);
-  EXPECT_EQ(stats.faults, stats.drum_hits + stats.disk_hits + stats.zero_fills);
-  EXPECT_GE(stats.writebacks, stats.demotions);
+  EXPECT_EQ(stats.faults, tiers.drum_hits + tiers.disk_hits + tiers.zero_fills);
+  EXPECT_GE(stats.writebacks, tiers.demotions);
 }
 
 // Pins every recovery path of the drum+disk pager at once: transient and
@@ -152,8 +153,7 @@ TEST(HierarchyPagerTest, StatsAccumulateConsistently) {
 // tracer's event JSONL and every stats field, so any change to the fault
 // loop's order of draws, charges or events shows here.
 TEST(HierarchyPagerTest, SeededFaultStreamKeepsItsPinnedDigest) {
-  HierarchyPagerConfig config = SmallConfig();
-  config.frames = 8;
+  DrumDiskConfig config = SmallConfig();
   // Room for six pages: with the drum near its eight-page limit a bad drum
   // slot finds no spare and the page spills to disk.
   config.drum_level = MakeDrumLevel("drum", 6 * 64, /*word_time=*/2, /*rotational_delay=*/200);
@@ -164,7 +164,8 @@ TEST(HierarchyPagerTest, SeededFaultStreamKeepsItsPinnedDigest) {
   faults.level_rates[1] = FaultRates{0.04, 0.01, 0.0};
   FaultInjector injector(faults);
   EventTracer tracer(/*capacity=*/0);
-  HierarchyPager pager(config, std::make_unique<LruReplacement>(), &injector);
+  DrumDiskRig rig(PagerConfig{.page_words = 64, .frames = 8}, config, &injector);
+  Pager& pager = rig.pager;
   pager.SetTracer(&tracer);
 
   Rng rng(0x41e);
@@ -178,27 +179,29 @@ TEST(HierarchyPagerTest, SeededFaultStreamKeepsItsPinnedDigest) {
       page = (page + 1) % 40;
     }
     const AccessKind kind = rng.Below(4) == 0 ? AccessKind::kWrite : AccessKind::kRead;
-    const auto outcome = pager.Access(PageId{page}, kind, now);
-    const Cycles wait = outcome.has_value() ? *outcome : outcome.error().wait_cycles;
+    const PageAccessResult outcome = pager.Access(PageId{page}, kind, now);
+    const Cycles wait =
+        outcome.has_value() ? outcome->wait_cycles : outcome.error().wait_cycles;
     trail.U64(outcome.has_value() ? 0 : 1 + static_cast<std::uint64_t>(outcome.error().kind));
     trail.U64(wait);
     now += wait + 1 + rng.Below(3);
   }
-  const HierarchyPagerStats& stats = pager.stats();
+  const PagerStats& stats = pager.stats();
+  const DrumDiskStats& tiers = rig.tiers.stats();
   const ReliabilityStats& rel = stats.reliability;
   for (const std::uint64_t field :
-       {stats.accesses, stats.faults, stats.drum_hits, stats.disk_hits, stats.zero_fills,
-        stats.demotions, stats.writebacks, stats.wait_cycles, rel.transient_errors, rel.retries,
+       {stats.accesses, stats.faults, tiers.drum_hits, tiers.disk_hits, tiers.zero_fills,
+        tiers.demotions, stats.writebacks, stats.wait_cycles, rel.transient_errors, rel.retries,
         rel.retry_cycles, rel.slot_failures, rel.relocations, rel.spill_relocations,
         rel.frame_failures, rel.retired_frames, rel.residual_frames, rel.failed_accesses,
-        rel.lost_pages, static_cast<std::uint64_t>(pager.drum_page_count()),
+        rel.lost_pages, static_cast<std::uint64_t>(rig.tiers.drum_page_count()),
         static_cast<std::uint64_t>(pager.frames().retired_count())}) {
     trail.U64(field);
   }
   // Every recovery path ran, so the digest guards each of them.
-  EXPECT_GT(stats.drum_hits, 0u);
-  EXPECT_GT(stats.disk_hits, 0u);
-  EXPECT_GT(stats.demotions, 0u);
+  EXPECT_GT(tiers.drum_hits, 0u);
+  EXPECT_GT(tiers.disk_hits, 0u);
+  EXPECT_GT(tiers.demotions, 0u);
   EXPECT_GT(rel.retries, 0u);
   EXPECT_GT(rel.relocations, 0u);
   EXPECT_GT(rel.spill_relocations, 0u);

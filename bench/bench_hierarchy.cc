@@ -43,9 +43,8 @@ RunResult Drive(const dsa::DrumDiskConfig& config, const dsa::ReferenceTrace& tr
                    std::make_unique<dsa::DemandFetch>(), /*advice=*/nullptr);
   dsa::Cycles now = 0;
   for (const dsa::Reference& ref : trace.refs) {
-    now += pager.Access(dsa::PageId{ref.name.value / kCore.page_words}, ref.kind, now)
-               ->wait_cycles +
-           1;
+    const dsa::PageId page{ref.name.value / kCore.page_words};
+    now += pager.Access(page, ref.kind, now)->wait_cycles + 1;
   }
   return RunResult{pager.stats(), tiers.stats()};
 }

@@ -205,7 +205,8 @@ class Pager {
   Expected<Cycles, PageAccessError> FetchInto(PageId page, FrameId frame, Cycles now,
                                               bool demand);
   // Writes the page's core copy to `to`, retrying transient errors and
-  // relocating off bad slots; `to->slot` ends at the slot written last.
+  // relocating off bad slots; `to->slot` ends at the slot to record for the
+  // page (its identity slot again once the slot it was written to went bad).
   // False when the level ran out of spares or retries: a spill when the
   // home has a level to fall back to, else the contents are lost.
   bool StoreCopy(PageId page, PageHome* to, bool has_fallback, Cycles now);

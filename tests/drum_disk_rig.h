@@ -20,6 +20,9 @@ struct DrumDiskRig {
       : tiers(config),
         pager(core, &tiers, std::make_unique<LruReplacement>(), std::make_unique<DemandFetch>(),
               /*advice=*/nullptr, injector) {}
+  // The pager holds the address of `tiers`.
+  DrumDiskRig(const DrumDiskRig&) = delete;
+  DrumDiskRig& operator=(const DrumDiskRig&) = delete;
 
   DrumDiskBacking tiers;
   Pager pager;

@@ -2,26 +2,6 @@
 
 namespace dsa {
 
-std::optional<std::uint64_t> AssociativeMemory::Lookup(std::uint64_t key, Cycles now) {
-  // Keys are unique, so when the slot of the most recent hit or insert holds
-  // `key` it is the slot the scan would find.
-  std::size_t i = recent_;
-  if (i >= slots_.size() || slots_[i].key != key) {
-    i = 0;
-    while (i < slots_.size() && slots_[i].key != key) {
-      ++i;
-    }
-    if (i == slots_.size()) {
-      ++misses_;
-      return std::nullopt;
-    }
-    recent_ = i;
-  }
-  slots_[i].last_use = now;
-  ++hits_;
-  return slots_[i].value;
-}
-
 void AssociativeMemory::Insert(std::uint64_t key, std::uint64_t value, Cycles now) {
   if (entries_ == 0) {
     return;

@@ -27,8 +27,27 @@ class AssociativeMemory {
 
   std::size_t capacity() const { return entries_; }
 
-  // Probes for `key`; refreshes recency on hit.
-  std::optional<std::uint64_t> Lookup(std::uint64_t key, Cycles now);
+  // Probes for `key`; refreshes recency on hit.  Defined here because
+  // every translation with the facility present makes this call.
+  std::optional<std::uint64_t> Lookup(std::uint64_t key, Cycles now) {
+    // Keys are unique, so when the slot of the most recent hit or insert
+    // holds `key` it is the slot the scan would find.
+    std::size_t i = recent_;
+    if (i >= slots_.size() || slots_[i].key != key) {
+      i = 0;
+      while (i < slots_.size() && slots_[i].key != key) {
+        ++i;
+      }
+      if (i == slots_.size()) {
+        ++misses_;
+        return std::nullopt;
+      }
+      recent_ = i;
+    }
+    slots_[i].last_use = now;
+    ++hits_;
+    return slots_[i].value;
+  }
 
   // Inserts or refreshes a mapping, evicting the least recently used entry
   // when full.
@@ -80,6 +99,13 @@ class AssociativeMemory {
   }
 
   std::size_t size() const { return slots_.size(); }
+  // Calls fn(key, value) for every held mapping, in slot order.
+  template <typename Fn>
+  void ForEach(Fn fn) const {
+    for (const Slot& slot : slots_) {
+      fn(slot.key, slot.value);
+    }
+  }
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
   double HitRate() const {

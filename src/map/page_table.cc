@@ -107,6 +107,35 @@ void PageTableMapper::Unmap(PageId page) {
   }
 }
 
+bool PageTableMapper::AgreesWith(std::size_t resident, const ResidentFrameFn& frame_of) const {
+  const auto names = [&](std::uint64_t page, std::uint64_t frame) {
+    const std::optional<FrameId> held = frame_of(PageId{page});
+    return held.has_value() && held->value == frame;
+  };
+  std::size_t present = 0;
+  for (std::size_t k = 0; k < table_.ChunkCount(); ++k) {
+    if (table_.chunk_present(k) == 0) {
+      continue;
+    }
+    present += table_.chunk_present(k);
+    const std::size_t begin = k * PageTable::kChunkEntries;
+    for (std::size_t page = begin; page < begin + table_.chunk_entries(k); ++page) {
+      const PageTableEntry& entry = table_.entry(PageId{page});
+      if (entry.present && !names(page, entry.frame.value)) {
+        return false;
+      }
+    }
+  }
+  if (present != resident) {
+    return false;
+  }
+  bool slots_agree = true;
+  tlb_.ForEach([&](std::uint64_t page, std::uint64_t frame) {
+    slots_agree = slots_agree && names(page, frame);
+  });
+  return slots_agree && (!line_valid_ || names(line_page_.value, line_frame_));
+}
+
 namespace {
 
 // Reads one entry in SaveChunk's encoding; an absent entry must carry frame
@@ -280,6 +309,22 @@ void AtlasPageRegisterMapper::LoadState(SnapshotReader* r) {
   }
   registers_ = std::move(registers);
   frame_of_page_ = std::move(frame_of_page);
+}
+
+bool AtlasPageRegisterMapper::AgreesWith(std::size_t resident,
+                                         const ResidentFrameFn& frame_of) const {
+  std::size_t loaded = 0;
+  for (std::size_t f = 0; f < registers_.size(); ++f) {
+    if (!registers_[f].has_value()) {
+      continue;
+    }
+    ++loaded;
+    const std::optional<FrameId> held = frame_of(*registers_[f]);
+    if (!held.has_value() || held->value != f) {
+      return false;
+    }
+  }
+  return loaded == resident;
 }
 
 AtlasPageRegisterMapper::AtlasPageRegisterMapper(WordCount page_words, std::size_t frames,

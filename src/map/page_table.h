@@ -7,6 +7,7 @@
 #define SRC_MAP_PAGE_TABLE_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -25,6 +26,10 @@ struct PageTableEntry {
   bool present{false};
   FrameId frame;
 };
+
+// A pager's residency as a map's agreement check reads it: the frame that
+// holds `page`, or nullopt when the page is not resident.
+using ResidentFrameFn = std::function<std::optional<FrameId>(PageId page)>;
 
 // The in-core table of page locations.  Use/modified sensors live with the
 // frame table (src/paging/frame_table.h), matching the paper's description
@@ -85,7 +90,7 @@ class PageTable {
 };
 
 // Name -> (page, offset) -> frame via the page table, with an optional TLB.
-class PageTableMapper : public AddressMapper {
+class PageTableMapper final : public AddressMapper {
  public:
   // `page_words` must be a power of two.  `tlb_entries == 0` disables the
   // associative memory (every translation pays the table reference).
@@ -109,6 +114,13 @@ class PageTableMapper : public AddressMapper {
 
   // Resident hits served from the last-translation line (see below).
   std::uint64_t line_hits() const { return line_hits_; }
+
+  // True when the map agrees with a pager that holds `resident` pages, each
+  // in the frame `frame_of` names: the table has exactly that many present
+  // entries, and every present entry, associative slot and valid line names
+  // its page's frame.  A translation hit then always names the frame that
+  // holds the page, and a miss always means the page is absent.
+  bool AgreesWith(std::size_t resident, const ResidentFrameFn& frame_of) const;
 
   // Sectioned serialization for delta checkpoints: a "map.head" section
   // (geometry, TLB, translation line, accounting) followed by one
@@ -155,7 +167,7 @@ class PageTableMapper : public AddressMapper {
 // The Ferranti ATLAS scheme: one page-address register per page frame; the
 // mapping is performed directly by an associative search over the registers.
 // A miss *is* the not-in-core trap — there is no in-core table behind it.
-class AtlasPageRegisterMapper : public AddressMapper {
+class AtlasPageRegisterMapper final : public AddressMapper {
  public:
   AtlasPageRegisterMapper(WordCount page_words, std::size_t frames, MappingCostModel costs = {});
 
@@ -170,6 +182,11 @@ class AtlasPageRegisterMapper : public AddressMapper {
   std::size_t frame_count() const { return registers_.size(); }
 
   PageId PageOf(Name name) const { return PageId{name.value >> offset_bits_}; }
+
+  // True when the registers hold exactly `resident` pages, each in the
+  // register of the frame `frame_of` names for it (the page-table mapper's
+  // check, for the register file).
+  bool AgreesWith(std::size_t resident, const ResidentFrameFn& frame_of) const;
 
   // Checkpoint serialization: the registers plus accounting; the reverse
   // index is rebuilt, not stored.  Loads reject an empty register with a

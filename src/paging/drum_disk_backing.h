@@ -92,6 +92,8 @@ class DrumDiskBacking {
 
   const DrumDiskStats& stats() const { return stats_; }
   std::size_t drum_page_count() const { return drum_lru_.size(); }
+  // The drum, read-only: the slots it holds are the copies it keeps.
+  const BackingStore& drum() const { return drum_; }
 
  private:
   enum class Home : std::uint8_t { kDrum, kDisk };

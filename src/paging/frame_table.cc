@@ -19,29 +19,6 @@ FrameTable::FrameTable(std::size_t frames)
   lru_[frames] = Link{frames, frames};
 }
 
-const FrameInfo& FrameTable::info(FrameId frame) const {
-  DSA_ASSERT(frame.value < frames_.size(), "frame out of range");
-  return frames_[frame.value];
-}
-
-FrameInfo& FrameTable::MutableInfo(FrameId frame) {
-  DSA_ASSERT(frame.value < frames_.size(), "frame out of range");
-  return frames_[frame.value];
-}
-
-void FrameTable::ListRemove(std::vector<Link>& list, std::size_t node) {
-  list[list[node].prev].next = list[node].next;
-  list[list[node].next].prev = list[node].prev;
-}
-
-void FrameTable::ListPushBack(std::vector<Link>& list, std::size_t node) {
-  const std::size_t sentinel = frames_.size();
-  list[node].prev = list[sentinel].prev;
-  list[node].next = sentinel;
-  list[list[sentinel].prev].next = node;
-  list[sentinel].prev = node;
-}
-
 std::optional<FrameId> FrameTable::FirstUnpinned(const std::vector<Link>& list) const {
   const std::size_t sentinel = frames_.size();
   for (std::size_t node = list[sentinel].next; node != sentinel; node = list[node].next) {
@@ -120,28 +97,6 @@ void FrameTable::Evict(FrameId frame) {
   --occupied_;
   ListRemove(fifo_, frame.value);
   ListRemove(lru_, frame.value);
-}
-
-void FrameTable::Touch(FrameId frame, Cycles now, bool write, Cycles idle_threshold) {
-  FrameInfo& info = MutableInfo(frame);
-  DSA_ASSERT(info.occupied, "touching an empty frame");
-  const Cycles idle = now > info.last_use ? now - info.last_use : 0;
-  if (idle > idle_threshold) {
-    // A period of inactivity just ended; remember its length for the ATLAS
-    // learning program's next-use prediction.
-    info.previous_idle = idle;
-  }
-  info.use = true;
-  if (write) {
-    info.modified = true;
-  }
-  info.last_use = now;
-  // Most references repeat the page just used, whose frame is already the
-  // LRU tail; relinking it there would leave the list unchanged.
-  if (lru_[frames_.size()].prev != frame.value) {
-    ListRemove(lru_, frame.value);
-    ListPushBack(lru_, frame.value);
-  }
 }
 
 void FrameTable::Pin(FrameId frame) {

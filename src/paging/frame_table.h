@@ -22,6 +22,7 @@
 #include <optional>
 #include <vector>
 
+#include "src/core/assert.h"
 #include "src/core/types.h"
 #include "src/obs/event.h"
 
@@ -65,7 +66,10 @@ class FrameTable {
   // as neither free nor occupied).
   std::size_t free_count() const { return free_.size(); }
 
-  const FrameInfo& info(FrameId frame) const;
+  const FrameInfo& info(FrameId frame) const {
+    DSA_ASSERT(frame.value < frames_.size(), "frame out of range");
+    return frames_[frame.value];
+  }
 
   // Pops a free frame, lowest index first.
   std::optional<FrameId> TakeFreeFrame();
@@ -89,8 +93,30 @@ class FrameTable {
   // Records an access: sets the use sensor, refreshes recency, and closes
   // the current inactivity period for the ATLAS learning policy.
   // `idle_threshold` is the gap, in cycles, beyond which the quiet spell
-  // counts as a completed period of inactivity.
-  void Touch(FrameId frame, Cycles now, bool write, Cycles idle_threshold);
+  // counts as a completed period of inactivity.  Defined here, with info,
+  // MutableInfo and the list helpers, because every resident reference
+  // makes this call.
+  void Touch(FrameId frame, Cycles now, bool write, Cycles idle_threshold) {
+    FrameInfo& info = MutableInfo(frame);
+    DSA_ASSERT(info.occupied, "touching an empty frame");
+    const Cycles idle = now > info.last_use ? now - info.last_use : 0;
+    if (idle > idle_threshold) {
+      // A period of inactivity just ended; remember its length for the ATLAS
+      // learning program's next-use prediction.
+      info.previous_idle = idle;
+    }
+    info.use = true;
+    if (write) {
+      info.modified = true;
+    }
+    info.last_use = now;
+    // Most references repeat the page just used, whose frame is already the
+    // LRU tail; relinking it there would leave the list unchanged.
+    if (lru_[frames_.size()].prev != frame.value) {
+      ListRemove(lru_, frame.value);
+      ListPushBack(lru_, frame.value);
+    }
+  }
 
   void Pin(FrameId frame);
   void Unpin(FrameId frame);
@@ -131,10 +157,22 @@ class FrameTable {
     std::size_t next{0};
   };
 
-  FrameInfo& MutableInfo(FrameId frame);
+  FrameInfo& MutableInfo(FrameId frame) {
+    DSA_ASSERT(frame.value < frames_.size(), "frame out of range");
+    return frames_[frame.value];
+  }
 
-  void ListRemove(std::vector<Link>& list, std::size_t node);
-  void ListPushBack(std::vector<Link>& list, std::size_t node);
+  void ListRemove(std::vector<Link>& list, std::size_t node) {
+    list[list[node].prev].next = list[node].next;
+    list[list[node].next].prev = list[node].prev;
+  }
+  void ListPushBack(std::vector<Link>& list, std::size_t node) {
+    const std::size_t sentinel = frames_.size();
+    list[node].prev = list[sentinel].prev;
+    list[node].next = sentinel;
+    list[list[sentinel].prev].next = node;
+    list[sentinel].prev = node;
+  }
   std::optional<FrameId> FirstUnpinned(const std::vector<Link>& list) const;
 
   EventTracer* tracer_{nullptr};

@@ -115,11 +115,6 @@ bool Pager::StoreCopy(PageId page, PageHome* to, bool has_fallback, Cycles now) 
   ReliabilityStats& rel = stats_.reliability;
   const int max_retries = injector_ != nullptr ? injector_->max_retries() : 0;
   for (int attempt = 0;; ++attempt) {
-    if (tiers_ != nullptr) {
-      // A drum/disk level records a spare slot only once a store lands, so
-      // every attempt starts again from the page's own slot on that level.
-      to->slot = page.value;
-    }
     if (to->store->IsBad(to->slot)) {
       // The page's home sector is gone; relocate to a spare slot.
       const auto spare = to->store->AllocateSpareSlot(config_.page_words);
@@ -365,20 +360,15 @@ void Pager::ApplyReleases(Cycles now) {
 }
 
 PageAccessResult Pager::Access(PageId page, AccessKind kind, Cycles now) {
-  DSA_TRACE_CLOCK(tracer_, now);
-  ++stats_.accesses;
-  if (advice_ != nullptr) {
-    advice_->OnAccess(page);
-  }
-  const bool write = kind == AccessKind::kWrite;
-
-  if (auto frame = FrameOf(page)) {
-    frames_.Touch(*frame, now, write, config_.touch_idle_threshold);
-    replacement_->OnAccess(*frame, page, now, write);
-    return PageAccessOutcome{false, *frame, 0, 0};
+  // Nothing BeginAccess does moves residency, so probing first finds the
+  // frame the hit sequence would have found.
+  if (const std::optional<FrameId> frame = FrameOf(page)) {
+    return AccessResident(page, *frame, kind, now);
   }
 
   // --- page fault ----------------------------------------------------------
+  BeginAccess(page, now);
+  const bool write = kind == AccessKind::kWrite;
   ++stats_.faults;
   DSA_TRACE_EMIT(tracer_, EventKind::kPageFault, page.value);
   ApplyReleases(now);

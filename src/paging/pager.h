@@ -34,6 +34,7 @@
 #include "src/mem/backing_store.h"
 #include "src/mem/channel.h"
 #include "src/mem/fault_injection.h"
+#include "src/obs/tracer.h"
 #include "src/paging/advice.h"
 #include "src/paging/fetch.h"
 #include "src/paging/frame_table.h"
@@ -155,6 +156,21 @@ class Pager {
   // retry or give up.
   PageAccessResult Access(PageId page, AccessKind kind, Cycles now);
 
+  // The hit path: a reference to `page`, which the caller's translation has
+  // already found in `frame`, so no residency lookup is made.  This is the
+  // only hit sequence: Access's resident branch calls it.  `frame` must hold
+  // `page` (checked).  Defined here because every hit makes this call.
+  PageAccessOutcome AccessResident(PageId page, FrameId frame, AccessKind kind, Cycles now) {
+    const FrameInfo& info = frames_.info(frame);
+    DSA_ASSERT(info.occupied && info.page == page,
+               "the translation names a frame that does not hold the page");
+    BeginAccess(page, now);
+    const bool write = kind == AccessKind::kWrite;
+    frames_.Touch(frame, now, write, config_.touch_idle_threshold);
+    replacement_->OnAccess(frame, page, now, write);
+    return PageAccessOutcome{false, frame, 0, 0};
+  }
+
   // Takes a frame out of service (an external parity report, or the
   // degradation bench's retirement schedule).  A resident page is first
   // evicted (writing back if dirty).  Returns false — and does nothing —
@@ -195,6 +211,16 @@ class Pager {
         DrumDiskBacking* tiers, std::unique_ptr<ReplacementPolicy> replacement,
         std::unique_ptr<FetchPolicy> fetch, AdviceRegistry* advice, FaultInjector* injector);
 
+  // What every access does first, hit or fault: advance the tracer's clock,
+  // count the access, and let it supersede any advice about the page.
+  void BeginAccess(PageId page, Cycles now) {
+    (void)now;  // read only by the tracer, which -DDSA_TRACE=0 compiles out
+    DSA_TRACE_CLOCK(tracer_, now);
+    ++stats_.accesses;
+    if (advice_ != nullptr) {
+      advice_->OnAccess(page);
+    }
+  }
   // Frees one frame via the replacement policy; returns it.
   FrameId EvictOne(Cycles now);
   // Vacates a specific frame, writing the page to its home first when the
@@ -206,7 +232,9 @@ class Pager {
                                               bool demand);
   // Writes the page's core copy to `to`, retrying transient errors and
   // relocating off bad slots; `to->slot` ends at the slot to record for the
-  // page (its identity slot again once the slot it was written to went bad).
+  // page.  A transient retry rewrites the slot it just tried, a spare
+  // included; only a slot that went bad sends the next attempt back to the
+  // page's identity slot (to relocate again if that one is bad too).
   // False when the level ran out of spares or retries: a spill when the
   // home has a level to fall back to, else the contents are lost.
   bool StoreCopy(PageId page, PageHome* to, bool has_fallback, Cycles now);

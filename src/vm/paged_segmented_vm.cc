@@ -123,16 +123,23 @@ VmReport PagedSegmentedVm::Run(const ReferenceTrace& trace) {
     clock_.Advance(map_cost);
     space_time_.Accumulate(resident, map_cost, /*waiting=*/false);
 
-    if (!first.has_value()) {
-      const Fault& fault = first.error();
-      if (fault.kind == FaultKind::kBoundsViolation ||
-          fault.kind == FaultKind::kInvalidSegment) {
-        ++bounds_violations_;
-        continue;
-      }
-      DSA_ASSERT(fault.kind == FaultKind::kPageNotPresent,
-                 "unexpected fault kind in paged-segmented VM");
+    if (first.has_value()) {
+      // The hit path.  Every TranslateSegmented hit returns frame *
+      // page_words + offset in page, so the address names the frame, and the
+      // pager only refreshes its sensors and recency there.
+      pager_->AccessResident(PageKeyOf(split),
+                             FrameId{first->address.value / config_.page_words}, ref.kind,
+                             clock_.now());
+      peak_resident_ = std::max(peak_resident_, resident);
+      continue;
     }
+    const Fault& fault = first.error();
+    if (fault.kind == FaultKind::kBoundsViolation || fault.kind == FaultKind::kInvalidSegment) {
+      ++bounds_violations_;
+      continue;
+    }
+    DSA_ASSERT(fault.kind == FaultKind::kPageNotPresent,
+               "unexpected fault kind in paged-segmented VM");
 
     const PageAccessResult result = pager_->Access(PageKeyOf(split), ref.kind, clock_.now());
     if (!result.has_value()) {
@@ -146,18 +153,18 @@ VmReport PagedSegmentedVm::Run(const ReferenceTrace& trace) {
       continue;
     }
     const PageAccessOutcome& outcome = *result;
-    if (outcome.faulted) {
-      resident = pager_->ResidentWords();
-      space_time_.Accumulate(resident, outcome.wait_cycles, /*waiting=*/true);
-      clock_.Advance(outcome.wait_cycles);
-      wait_cycles_ += outcome.wait_cycles;
+    // A page the mapper does not map is not resident: the pager must fault.
+    DSA_ASSERT(outcome.faulted, "translation missed a page the pager holds resident");
+    resident = pager_->ResidentWords();
+    space_time_.Accumulate(resident, outcome.wait_cycles, /*waiting=*/true);
+    clock_.Advance(outcome.wait_cycles);
+    wait_cycles_ += outcome.wait_cycles;
 
-      TranslationResult retry = mapper_->TranslateSegmented(split, ref.kind, clock_.now());
-      DSA_ASSERT(retry.has_value(), "translation must succeed after the page is loaded");
-      translation_cycles_ += retry->cost;
-      clock_.Advance(retry->cost);
-      space_time_.Accumulate(resident, retry->cost, /*waiting=*/false);
-    }
+    TranslationResult retry = mapper_->TranslateSegmented(split, ref.kind, clock_.now());
+    DSA_ASSERT(retry.has_value(), "translation must succeed after the page is loaded");
+    translation_cycles_ += retry->cost;
+    clock_.Advance(retry->cost);
+    space_time_.Accumulate(resident, retry->cost, /*waiting=*/false);
     peak_resident_ = std::max(peak_resident_, resident);
   }
 

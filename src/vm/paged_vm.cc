@@ -1,6 +1,7 @@
 #include "src/vm/paged_vm.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "src/core/assert.h"
 #include "src/core/snapshot.h"
@@ -29,7 +30,10 @@ std::unique_ptr<FetchPolicy> MakeFetchPolicy(const PagedVmConfig& config,
 }  // namespace
 
 PagedLinearVm::PagedLinearVm(PagedVmConfig config)
-    : config_(std::move(config)), names_(config_.address_bits) {
+    : config_(std::move(config)),
+      names_(config_.address_bits),
+      page_shift_(std::countr_zero(config_.page_words)) {
+  DSA_ASSERT(std::has_single_bit(config_.page_words), "page size must be a power of two");
   DSA_ASSERT(config_.core_words % config_.page_words == 0,
              "core must hold an integral number of page frames");
   Reset();
@@ -99,6 +103,14 @@ void PagedLinearVm::Reset() {
   peak_resident_ = 0;
 }
 
+TranslationResult PagedLinearVm::Translate(const Reference& ref) {
+  if (config_.mapper == PagedMapperKind::kAtlasRegisters) {
+    return static_cast<AtlasPageRegisterMapper&>(*mapper_).Translate(ref.name, ref.kind,
+                                                                     clock_.now());
+  }
+  return static_cast<PageTableMapper&>(*mapper_).Translate(ref.name, ref.kind, clock_.now());
+}
+
 Cycles PagedLinearVm::Step(const Reference& ref) {
   ++references_;
 
@@ -117,23 +129,28 @@ Cycles PagedLinearVm::Step(const Reference& ref) {
 
   // First translation attempt.  A miss is the invalid-access trap that
   // triggers the fetch strategy.
-  Cycles stall = 0;
-  TranslationResult first = mapper_->Translate(ref.name, ref.kind, clock_.now());
+  TranslationResult first = Translate(ref);
   Cycles map_cost = first.has_value() ? first->cost : first.error().detection_cost;
   translation_cycles_ += map_cost;
   clock_.Advance(map_cost);
   space_time_.Accumulate(resident, map_cost, /*waiting=*/false);
 
-  if (!first.has_value()) {
-    const Fault& fault = first.error();
-    if (fault.kind == FaultKind::kBoundsViolation || fault.kind == FaultKind::kInvalidName) {
-      ++bounds_violations_;
-      return 0;
-    }
-    DSA_ASSERT(fault.kind == FaultKind::kPageNotPresent, "unexpected fault kind in paged VM");
+  if (first.has_value()) {
+    // The hit path: the translation names the frame, so the pager only
+    // refreshes its sensors and recency there.  The mapper maps exactly the
+    // pages the pager holds (the residency callbacks keep them in step, and
+    // LoadSections checks a restored pair), so the frame holds the page.
+    pager_->AccessResident(PageOf(ref.name), FrameOf(first->address), ref.kind, clock_.now());
+    peak_resident_ = std::max(peak_resident_, resident);
+    return 0;
   }
+  const Fault& fault = first.error();
+  if (fault.kind == FaultKind::kBoundsViolation || fault.kind == FaultKind::kInvalidName) {
+    ++bounds_violations_;
+    return 0;
+  }
+  DSA_ASSERT(fault.kind == FaultKind::kPageNotPresent, "unexpected fault kind in paged VM");
 
-  // Drive the pager; on the hit path this only refreshes sensors/recency.
   const PageAccessResult result = pager_->Access(PageOf(ref.name), ref.kind, clock_.now());
   if (!result.has_value()) {
     // Unrecoverable access: the program stalled through every retry and got
@@ -143,29 +160,28 @@ Cycles PagedLinearVm::Step(const Reference& ref) {
     clock_.Advance(lost_wait);
     wait_cycles_ += lost_wait;
     peak_resident_ = std::max(peak_resident_, pager_->ResidentWords());
-    return stall + lost_wait;
+    return lost_wait;
   }
   const PageAccessOutcome& outcome = *result;
-  if (outcome.faulted) {
-    // The program occupies storage while awaiting the page — the waiting
-    // shading of Fig. 3.  Residency during the wait includes the newly
-    // loaded page(s).
-    resident = pager_->ResidentWords();
-    space_time_.Accumulate(resident, outcome.wait_cycles, /*waiting=*/true);
-    clock_.Advance(outcome.wait_cycles);
-    wait_cycles_ += outcome.wait_cycles;
-    stall += outcome.wait_cycles;
+  // A page the mapper does not map is not resident: the pager must fault.
+  DSA_ASSERT(outcome.faulted, "translation missed a page the pager holds resident");
+  // The program occupies storage while awaiting the page — the waiting
+  // shading of Fig. 3.  Residency during the wait includes the newly loaded
+  // page(s).
+  resident = pager_->ResidentWords();
+  space_time_.Accumulate(resident, outcome.wait_cycles, /*waiting=*/true);
+  clock_.Advance(outcome.wait_cycles);
+  wait_cycles_ += outcome.wait_cycles;
 
-    // Retry the translation after the trap handler completes.
-    TranslationResult retry = mapper_->Translate(ref.name, ref.kind, clock_.now());
-    DSA_ASSERT(retry.has_value(), "translation must succeed after the page is loaded");
-    translation_cycles_ += retry->cost;
-    clock_.Advance(retry->cost);
-    space_time_.Accumulate(resident, retry->cost, /*waiting=*/false);
-  }
+  // Retry the translation after the trap handler completes.
+  TranslationResult retry = Translate(ref);
+  DSA_ASSERT(retry.has_value(), "translation must succeed after the page is loaded");
+  translation_cycles_ += retry->cost;
+  clock_.Advance(retry->cost);
+  space_time_.Accumulate(resident, retry->cost, /*waiting=*/false);
 
   peak_resident_ = std::max(peak_resident_, resident);
-  return stall;
+  return outcome.wait_cycles;
 }
 
 VmReport PagedLinearVm::Run(const ReferenceTrace& trace) {
@@ -295,6 +311,20 @@ void PagedLinearVm::LoadSections(SectionSource* src) {
     SnapshotReader r = src->Open("vm.pager");
     pager_->LoadState(&r);
     src->Close(&r, "vm.pager");
+  }
+  if (src->ok()) {
+    // Step takes a translation hit's frame as the page's frame and a miss as
+    // a fault, so the restored map must name exactly the pages the restored
+    // pager holds, each in its frame.
+    const ResidentFrameFn frame_of = [this](PageId page) { return pager_->FrameOf(page); };
+    const std::size_t resident = pager_->frames().occupied_count();
+    const bool agree =
+        config_.mapper == PagedMapperKind::kAtlasRegisters
+            ? static_cast<const AtlasPageRegisterMapper&>(*mapper_).AgreesWith(resident, frame_of)
+            : static_cast<const PageTableMapper&>(*mapper_).AgreesWith(resident, frame_of);
+    if (!agree) {
+      src->Fail(SnapshotErrorKind::kBadValue, "the map disagrees with the pager's residency");
+    }
   }
   SpaceTime space_time;
   std::uint64_t references = 0, bounds_violations = 0;

@@ -109,10 +109,17 @@ class PagedLinearVm : public StorageAllocationSystem {
   void LoadSections(SectionSource* src);
 
  private:
-  PageId PageOf(Name name) const { return PageId{name.value / config_.page_words}; }
+  // Both mappers require a power-of-two page, so a name's page and an
+  // address's frame are the value shifted right by page_shift_.
+  PageId PageOf(Name name) const { return PageId{name.value >> page_shift_}; }
+  FrameId FrameOf(PhysicalAddress address) const { return FrameId{address.value >> page_shift_}; }
+  // The configured mapper's Translate at the current time, called on the
+  // concrete (final) class so that the hit path makes no virtual call.
+  TranslationResult Translate(const Reference& ref);
 
   PagedVmConfig config_;
   LinearNameSpace names_;
+  int page_shift_;
   Clock clock_;
   std::unique_ptr<BackingStore> backing_;
   std::unique_ptr<TransferChannel> channel_;

@@ -666,6 +666,39 @@ TEST(HierarchyFaultTest, PermanentDrumStoreFailureRelocates) {
   EXPECT_TRUE(pager.IsResident(PageId{0}));
 }
 
+TEST(HierarchyFaultTest, TransientRetryAfterRelocationRewritesTheSameSpare) {
+  ScriptedInjector injector;
+  DrumDiskRig rig(kHierarchyCore, SmallHierarchy(), &injector);
+  Pager& pager = rig.pager;
+  Cycles now = 0;
+  for (std::uint64_t p = 0; p < 3; ++p) {
+    now += ReadPage(pager, p, now) + 1;
+  }
+  // Page 3 evicts page 0 to the drum: its own slot goes bad, the retry
+  // relocates to a spare and glitches, and the next retry lands.
+  injector.ScriptTransfer(TransferFaultKind::kPermanentSlot);  // drum store try 1
+  injector.ScriptTransfer(TransferFaultKind::kTransient);      // try 2, on the spare
+  injector.ScriptTransfer(TransferFaultKind::kNone);           // try 3
+  now += ReadPage(pager, 3, now) + 1;
+  const ReliabilityStats& rel = pager.stats().reliability;
+  EXPECT_EQ(rel.slot_failures, 1u);
+  EXPECT_EQ(rel.transient_errors, 1u);
+  EXPECT_EQ(rel.retries, 2u);
+  // The transient retry rewrote the spare it had just tried: one relocation,
+  // and the drum holds exactly one copy of the page.
+  EXPECT_EQ(rel.relocations, 1u);
+  EXPECT_EQ(rig.tiers.drum().slot_count(), 1u);
+  EXPECT_EQ(rig.tiers.drum().OccupiedWords(), kHierarchyCore.page_words);
+
+  // Fetching the page back gives that copy up; nothing is left behind.
+  const auto again = pager.Access(PageId{0}, AccessKind::kRead, now + 500000);
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(rig.tiers.stats().drum_hits, 1u);
+  EXPECT_EQ(rig.tiers.drum_page_count(), 1u);  // the victim, page 1, on its own slot
+  EXPECT_EQ(rig.tiers.drum().slot_count(), 1u);
+  EXPECT_TRUE(rig.tiers.drum().Contains(1));
+}
+
 TEST(HierarchyFaultTest, ParityFailedFirstTouchLandingChargesNothing) {
   ScriptedInjector injector;
   DrumDiskRig rig(kHierarchyCore, SmallHierarchy(), &injector);

@@ -1,5 +1,6 @@
 // Unit tests for the pager: fault handling, eviction, write-back, advice,
-// prefetch, and the ATLAS vacant-frame discipline.
+// prefetch, the ATLAS vacant-frame discipline, and the hit entry
+// (AccessResident) against Access.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,8 @@
 
 #include "src/core/rng.h"
 #include "src/core/snapshot.h"
+#include "src/obs/tracer.h"
+#include "src/paging/atlas_learning.h"
 #include "src/paging/pager.h"
 #include "src/paging/replacement_simple.h"
 
@@ -345,6 +348,170 @@ TEST_F(PagerTest, SeededLruStreamKeepsItsPinnedDigest) {
   std::snprintf(digest, sizeof(digest), "%016llx",
                 static_cast<unsigned long long>(Fnv64(trail.TakePayload())));
   EXPECT_STREQ(digest, "9cd48ec62aaadfd5");
+}
+
+// --- Pager::AccessResident ---------------------------------------------------------
+
+// ATLAS learning, checking at every OnAccess that the frame table already
+// holds the access: the hit sequence touches the frame before the policy
+// hears of it.  No policy in the library reads the frame table there, so
+// without this check the order would go unobserved.
+class TouchFirstAtlas final : public AtlasLearningReplacement {
+ public:
+  void Watch(const FrameTable* frames) { frames_ = frames; }
+
+  void OnAccess(FrameId frame, PageId page, Cycles now, bool write) override {
+    const FrameInfo& info = frames_->info(frame);
+    ++checked_;
+    if (info.last_use != now || !info.use || (write && !info.modified)) {
+      ++touched_late_;
+    }
+    AtlasLearningReplacement::OnAccess(frame, page, now, write);
+  }
+
+  std::uint64_t checked() const { return checked_; }
+  std::uint64_t touched_late() const { return touched_late_; }
+
+ private:
+  const FrameTable* frames_{nullptr};
+  std::uint64_t checked_{0};
+  std::uint64_t touched_late_{0};
+};
+
+// One pager of an Access-vs-AccessResident pair, with its own backing store,
+// advice registry and tracer (whose every event is kept).
+struct HitEntrySide {
+  explicit HitEntrySide(std::unique_ptr<ReplacementPolicy> replacement)
+      : backing(MakeDrumLevel("drum", 1u << 16, /*word_time=*/2, /*rotational_delay=*/100)),
+        tracer(/*capacity=*/0),
+        policy(replacement.get()),
+        pager(PagerConfig{.page_words = 64, .frames = 8}, &backing, &channel,
+              std::move(replacement), std::make_unique<DemandFetch>(), &advice) {
+    tracer.SetSink([this](const TraceEvent& event) { events.push_back(event); });
+    pager.SetTracer(&tracer);
+    if (auto* probe = dynamic_cast<TouchFirstAtlas*>(policy)) {
+      probe->Watch(&pager.frames());
+    }
+  }
+
+  // The pager's and the advice registry's checkpoint bytes.
+  std::string State() const {
+    SnapshotWriter w;
+    pager.SaveState(&w);
+    advice.SaveState(&w);
+    return w.TakePayload();
+  }
+
+  BackingStore backing;
+  TransferChannel channel;
+  AdviceRegistry advice;
+  EventTracer tracer;
+  std::vector<TraceEvent> events;
+  ReplacementPolicy* policy;  // owned by the pager
+  Pager pager;
+};
+
+// Drives `via_access` through Access only and `via_hit` through
+// AccessResident whenever FrameOf finds the page, over a seeded stream of
+// reads and writes with keep-resident, wont-need and will-need advice.
+// After every step the two must agree on state bytes, stats and events; the
+// per-step trail of the Access side is folded into the returned digest.
+std::string HitEntryStreamDigest(std::unique_ptr<ReplacementPolicy> access_policy,
+                                 std::unique_ptr<ReplacementPolicy> hit_policy) {
+  HitEntrySide via_access(std::move(access_policy));
+  HitEntrySide via_hit(std::move(hit_policy));
+  Rng rng(0x417);
+  SnapshotWriter trail;
+  std::uint64_t page = 0;
+  Cycles now = 0;
+  std::size_t hits = 0;
+  for (int step = 0; step < 6000; ++step) {
+    if (rng.Below(8) == 0) {
+      page = rng.Below(24);
+    } else if (rng.Below(10) < 3) {
+      page = (page + 1) % 24;
+    }
+    const AccessKind kind = rng.Below(4) == 0 ? AccessKind::kWrite : AccessKind::kRead;
+    // Pages 0-2 are the only keep-resident candidates, so at most three of
+    // the eight frames are ever pinned.
+    const std::uint64_t advice = rng.Below(64);
+    const PageId keep{rng.Below(3)};
+    for (Pager* pager : {&via_access.pager, &via_hit.pager}) {
+      if (advice == 0) {
+        pager->AdviseKeepResident(keep);
+      } else if (advice == 1) {
+        pager->AdviseWontNeed(PageId{page + 1});
+      } else if (advice == 2) {
+        pager->AdviseWillNeed(PageId{page + 2});
+      }
+    }
+
+    const PageAccessResult by_access = via_access.pager.Access(PageId{page}, kind, now);
+    const PageAccessResult by_hit = [&]() -> PageAccessResult {
+      if (const std::optional<FrameId> frame = via_hit.pager.FrameOf(PageId{page})) {
+        ++hits;
+        return via_hit.pager.AccessResident(PageId{page}, *frame, kind, now);
+      }
+      return via_hit.pager.Access(PageId{page}, kind, now);
+    }();
+    if (!by_access.has_value() || !by_hit.has_value()) {
+      ADD_FAILURE() << "step " << step << ": an access failed";
+      return "";
+    }
+    EXPECT_EQ(by_access->faulted, by_hit->faulted) << "step " << step;
+    EXPECT_EQ(by_access->frame, by_hit->frame) << "step " << step;
+    EXPECT_EQ(by_access->wait_cycles, by_hit->wait_cycles) << "step " << step;
+
+    const std::string state = via_access.State();
+    EXPECT_EQ(state, via_hit.State()) << "step " << step;
+    const PagerStats& a = via_access.pager.stats();
+    const PagerStats& b = via_hit.pager.stats();
+    EXPECT_EQ(a.accesses, b.accesses) << "step " << step;
+    EXPECT_EQ(a.faults, b.faults) << "step " << step;
+    EXPECT_EQ(a.writebacks, b.writebacks) << "step " << step;
+    EXPECT_EQ(a.advised_releases, b.advised_releases) << "step " << step;
+    EXPECT_EQ(a.wait_cycles, b.wait_cycles) << "step " << step;
+    EXPECT_EQ(via_access.events, via_hit.events) << "step " << step;
+    if (::testing::Test::HasFailure()) {
+      return "";
+    }
+
+    now += by_access->wait_cycles + 1 + rng.Below(40);
+    trail.U64(Fnv64(state));
+    trail.U64(by_access->frame.value);
+    trail.U64(by_access->faulted ? 1 : 0);
+  }
+  // The stream exercises both entries and every kind of advice.
+  EXPECT_GT(hits, 3000u);
+  EXPECT_LT(hits, 5800u);
+  EXPECT_GT(via_access.pager.frames().pinned_count(), 0u);
+  EXPECT_GT(via_access.pager.stats().advised_releases, 0u);
+  EXPECT_GT(via_access.pager.stats().writebacks, 0u);
+  for (const HitEntrySide* side : {&via_access, &via_hit}) {
+    if (const auto* probe = dynamic_cast<const TouchFirstAtlas*>(side->policy)) {
+      EXPECT_EQ(probe->checked(), 6000u);
+      EXPECT_EQ(probe->touched_late(), 0u);
+    }
+  }
+  char digest[24];
+  std::snprintf(digest, sizeof(digest), "%016llx",
+                static_cast<unsigned long long>(Fnv64(trail.TakePayload())));
+  return digest;
+}
+
+// The pinned digests were recorded with both sides calling Access before
+// AccessResident existed, so they also pin the hit sequence itself.  The
+// ATLAS case overrides OnAccess and checks that Touch has already run.
+TEST(PagerHitEntryTest, AccessResidentMatchesAccessUnderLru) {
+  const std::string digest = HitEntryStreamDigest(std::make_unique<LruReplacement>(),
+                                                  std::make_unique<LruReplacement>());
+  EXPECT_EQ(digest, "008badfe1226f342");
+}
+
+TEST(PagerHitEntryTest, AccessResidentMatchesAccessUnderAtlasLearning) {
+  const std::string digest = HitEntryStreamDigest(
+      std::make_unique<TouchFirstAtlas>(), std::make_unique<TouchFirstAtlas>());
+  EXPECT_EQ(digest, "8f2769ed00c522de");
 }
 
 }  // namespace

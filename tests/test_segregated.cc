@@ -178,8 +178,10 @@ TEST(SegregatedFitTest, ClassMissEmitsEventAndDrainsParked) {
     saw_miss = saw_miss || event.kind == EventKind::kSizeClassMiss;
     saw_coalesce = saw_coalesce || event.kind == EventKind::kDeferredCoalesce;
   }
-  EXPECT_TRUE(saw_miss);
-  EXPECT_TRUE(saw_coalesce);
+  if (DSA_TRACE) {  // -DDSA_TRACE=0 compiles the emissions out
+    EXPECT_TRUE(saw_miss);
+    EXPECT_TRUE(saw_coalesce);
+  }
   EXPECT_EQ(alloc.quick_stats().class_misses, 1u);
   EXPECT_TRUE(alloc.CheckInvariants());
 }

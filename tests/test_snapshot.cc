@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <set>
@@ -559,6 +560,114 @@ TEST(PagedVmSnapshotTest, FaultInjectedRunResumesIdentically) {
   const std::optional<SnapshotError> error = LoadVm(&resumed, SealVm(first));
   ASSERT_FALSE(error.has_value()) << error->Describe();
   EXPECT_EQ(StepAll(&resumed, trace, cut), expected);
+}
+
+// Re-seals a standalone cut with `mutate` applied to the body of the
+// section named `target`; every other section keeps its bytes.
+std::string ResealWith(const std::string& sealed, const std::string& target,
+                       const std::function<void(std::string*)>& mutate) {
+  SnapshotReader r(sealed);
+  r.U8();  // kind: a standalone cut is full
+  const std::uint64_t count = r.U64();
+  SectionedSnapshotWriter w;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const std::string name = r.Str();
+    EXPECT_EQ(r.U8(), 0u) << name << " is not inline";
+    std::string body = r.Str();
+    if (name == target) {
+      mutate(&body);
+    }
+    w.Section(name, std::move(body));
+  }
+  EXPECT_TRUE(r.ok() && r.AtEnd());
+  return w.SealFull();
+}
+
+// A cut of `config` halfway through VmTrace().
+std::string HalfwayCut(const PagedVmConfig& config) {
+  const ReferenceTrace trace = VmTrace();
+  PagedLinearVm vm(config);
+  for (std::size_t i = 0; i < trace.refs.size() / 2; ++i) {
+    vm.Step(trace.refs[i]);
+  }
+  return SealVm(vm);
+}
+
+void ExpectMapPagerMismatch(const PagedVmConfig& config, const std::string& sealed) {
+  PagedLinearVm fresh(config);
+  const std::optional<SnapshotError> error = LoadVm(&fresh, sealed);
+  ASSERT_TRUE(error.has_value());
+  EXPECT_EQ(error->kind, SnapshotErrorKind::kBadValue) << error->Describe();
+  EXPECT_NE(error->Describe().find("disagrees with the pager"), std::string::npos)
+      << error->Describe();
+}
+
+// Every section loads on its own, but the page table (or its TLB) no longer
+// maps the pages the pager holds: Step would take a hit's frame from the
+// map, so the load must refuse the pair.
+TEST(PagedVmSnapshotTest, PageTableThatDisagreesWithThePagerFailsTyped) {
+  const PagedVmConfig config = PagedConfigFromSpec(ServeSpec(ReplacementStrategyKind::kLru));
+  const std::string sealed = HalfwayCut(config);
+  ASSERT_EQ(ResealWith(sealed, "", [](std::string*) {}), sealed);
+  {
+    PagedLinearVm fresh(config);
+    ASSERT_FALSE(LoadVm(&fresh, sealed).has_value());
+  }
+
+  // Drop one present map.pt entry: it reads back as absent (zero bytes).
+  bool dropped = false;
+  const std::string no_entry = ResealWith(sealed, "map.pt.0", [&](std::string* body) {
+    constexpr std::size_t kEntryBytes = 9;  // present flag + frame
+    for (std::size_t at = 0; at < body->size(); at += kEntryBytes) {
+      if ((*body)[at] == 1) {
+        body->replace(at, kEntryBytes, kEntryBytes, '\0');
+        dropped = true;
+        return;
+      }
+    }
+  });
+  ASSERT_TRUE(dropped);
+  ExpectMapPagerMismatch(config, no_entry);
+
+  // Point the first TLB slot at another frame.  map.head: u64 page count,
+  // u64 slot count, then (key, value, last_use) per slot.
+  const std::string stale_slot = ResealWith(sealed, "map.head", [](std::string* body) {
+    SnapshotReader head = SnapshotReader::ForPayload(*body);
+    head.U64();
+    ASSERT_GT(head.U64(), 0u);
+    constexpr std::size_t kValueAt = 8 + 8 + 8;
+    const std::uint64_t frame = SnapshotReader::ForPayload(body->substr(kValueAt, 8)).U64();
+    StoreU64Le(body->data() + kValueAt, (frame + 1) % 16);
+  });
+  ExpectMapPagerMismatch(config, stale_slot);
+}
+
+TEST(PagedVmSnapshotTest, AtlasRegistersThatDisagreeWithThePagerFailTyped) {
+  PagedVmConfig config = PagedConfigFromSpec(ServeSpec(ReplacementStrategyKind::kLru));
+  config.mapper = PagedMapperKind::kAtlasRegisters;
+  const std::string sealed = HalfwayCut(config);
+  {
+    PagedLinearVm fresh(config);
+    ASSERT_FALSE(LoadVm(&fresh, sealed).has_value());
+  }
+
+  // Empty the first loaded register.  map.head: u64 register count, then
+  // (loaded flag, page) per register; an empty one is all zero bytes.
+  bool emptied = false;
+  const std::string empty_register = ResealWith(sealed, "map.head", [&](std::string* body) {
+    constexpr std::size_t kRegisterBytes = 9;
+    const std::uint64_t registers = SnapshotReader::ForPayload(*body).U64();
+    for (std::size_t f = 0; f < registers; ++f) {
+      const std::size_t at = 8 + f * kRegisterBytes;
+      if ((*body)[at] == 1) {
+        body->replace(at, kRegisterBytes, kRegisterBytes, '\0');
+        emptied = true;
+        return;
+      }
+    }
+  });
+  ASSERT_TRUE(emptied);
+  ExpectMapPagerMismatch(config, empty_register);
 }
 
 // --- Sectioned snapshots: the delta-checkpoint substrate.

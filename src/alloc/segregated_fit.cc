@@ -245,7 +245,7 @@ Cycles SegregatedFitAllocator::DrainClassQuickList(std::size_t cls) {
   Cycles cost = 0;
   std::uint64_t blocks = 0;
   WordCount words = 0;
-  const std::uint64_t merges_before = quick_stats_.merges;
+  [[maybe_unused]] const std::uint64_t merges_before = quick_stats_.merges;
   for (const std::uint64_t addr : quick_[cls]) {
     auto it = blocks_.find(addr);
     parked_words_ -= it->second.size;
@@ -268,7 +268,7 @@ Cycles SegregatedFitAllocator::DrainQuickLists() {
   Cycles cost = 0;
   std::uint64_t blocks = 0;
   WordCount words = 0;
-  const std::uint64_t merges_before = quick_stats_.merges;
+  [[maybe_unused]] const std::uint64_t merges_before = quick_stats_.merges;
   for (std::size_t cls = 0; cls < quick_.size(); ++cls) {
     for (const std::uint64_t addr : quick_[cls]) {
       auto it = blocks_.find(addr);

@@ -149,9 +149,7 @@ void EventTracer::Emit(EventKind kind, std::uint64_t a, std::uint64_t b, std::ui
 std::vector<TraceEvent> EventTracer::Snapshot() const {
   std::vector<TraceEvent> events;
   events.reserve(ring_.size());
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    events.push_back(ring_[(head_ + i) % ring_.size()]);
-  }
+  ForEach([&events](const TraceEvent& event) { events.push_back(event); });
   return events;
 }
 

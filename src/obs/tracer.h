@@ -59,6 +59,17 @@ class EventTracer {
   // All retained events, oldest first.
   std::vector<TraceEvent> Snapshot() const;
 
+  // Calls `visit` on each retained event, oldest first, without copying.
+  template <typename Visit>
+  void ForEach(Visit&& visit) const {
+    for (std::size_t i = head_; i < ring_.size(); ++i) {
+      visit(ring_[i]);
+    }
+    for (std::size_t i = 0; i < head_; ++i) {
+      visit(ring_[i]);
+    }
+  }
+
   std::uint64_t emitted() const { return emitted_; }
   std::uint64_t dropped() const { return dropped_; }
   std::size_t size() const { return ring_.size(); }

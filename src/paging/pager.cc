@@ -234,7 +234,8 @@ bool Pager::RetireFrame(FrameId frame, Cycles now) {
   return true;
 }
 
-Cycles Pager::ChargeFetchTransfer(PageId page, const PageHome& from, Cycles at) {
+Cycles Pager::ChargeFetchTransfer([[maybe_unused]] PageId page, const PageHome& from,
+                                  Cycles at) {
   DSA_TRACE_EMIT(tracer_, EventKind::kTransferStart, page.value, from.level,
                  /*direction=*/0);
   const StorageLevel& level = from.store->level();

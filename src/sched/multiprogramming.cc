@@ -183,7 +183,7 @@ MultiprogramReport MultiprogrammingSimulator::Run() {
     }
     return sum;
   };
-  auto fault_rate_ppm = [&](Cycles at) -> std::uint64_t {
+  [[maybe_unused]] auto fault_rate_ppm = [&](Cycles at) -> std::uint64_t {
     return static_cast<std::uint64_t>(detector.Signals(at).fault_rate * 1e6);
   };
 

@@ -1,6 +1,8 @@
 #include "src/seg/segment_manager.h"
 
 #include <algorithm>
+#include <bit>
+#include <utility>
 
 #include "src/core/assert.h"
 #include "src/obs/tracer.h"
@@ -20,38 +22,55 @@ SegmentManager::SegmentManager(SegmentManagerConfig config, BackingStore* backin
 }
 
 SegmentManager::SegmentInfo& SegmentManager::InfoFor(SegmentId segment) {
-  auto it = segments_.find(segment.value);
-  DSA_ASSERT(it != segments_.end(), "unknown segment");
-  return it->second;
+  DSA_ASSERT(Exists(segment), "unknown segment");
+  return segments_[segment.value];
 }
 
 const SegmentManager::SegmentInfo& SegmentManager::InfoFor(SegmentId segment) const {
-  auto it = segments_.find(segment.value);
-  DSA_ASSERT(it != segments_.end(), "unknown segment");
-  return it->second;
+  DSA_ASSERT(Exists(segment), "unknown segment");
+  return segments_[segment.value];
 }
 
 SegmentId SegmentManager::Create(WordCount extent) {
   DSA_ASSERT(extent > 0, "segments are nonempty");
   DSA_ASSERT(extent <= config_.max_segment_extent, "segment exceeds the maximum extent");
-  const SegmentId id{next_segment_id_++};
-  SegmentInfo info;
+  const SegmentId id{segments_.size()};
+  SegmentInfo& info = segments_.emplace_back();
+  info.live = true;
   info.extent = extent;
-  segments_.emplace(id.value, info);
+  ++live_segments_;
+  if (id.value / 64 == resident_.size()) {
+    resident_.push_back(0);
+  }
   return id;
 }
 
 void SegmentManager::Destroy(SegmentId segment) {
   SegmentInfo& info = InfoFor(segment);
   if (info.present) {
-    resident_.erase(segment.value);
-    resident_by_base_.erase(info.base.value);
+    ClearResident(segment.value);
     allocator_.Free(info.base);
   }
   if (info.has_backing_copy) {
     backing_->Discard(segment.value);
   }
-  segments_.erase(segment.value);
+  info = SegmentInfo{};
+  --live_segments_;
+}
+
+std::uint64_t SegmentManager::NextResident(std::uint64_t from) const {
+  std::size_t word = from / 64;
+  if (word >= resident_.size()) {
+    return kNoSegment;
+  }
+  std::uint64_t bits = resident_[word] & (~std::uint64_t{0} << (from % 64));
+  while (bits == 0) {
+    if (++word == resident_.size()) {
+      return kNoSegment;
+    }
+    bits = resident_[word];
+  }
+  return word * 64 + static_cast<std::uint64_t>(std::countr_zero(bits));
 }
 
 bool SegmentManager::IsResident(SegmentId segment) const { return InfoFor(segment).present; }
@@ -59,36 +78,42 @@ bool SegmentManager::IsResident(SegmentId segment) const { return InfoFor(segmen
 WordCount SegmentManager::ExtentOf(SegmentId segment) const { return InfoFor(segment).extent; }
 
 std::optional<SegmentId> SegmentManager::ChooseVictim(SegmentId requester) {
-  const auto eligible = [requester](const auto& entry) {
-    return !entry.second->pinned && entry.first != requester.value;
+  const auto eligible = [this, requester](std::uint64_t id) {
+    return !segments_[id].pinned && id != requester.value;
   };
   switch (config_.replacement) {
     case SegmentReplacementKind::kCyclic: {
       // Sweep segment ids cyclically from the cursor, wrapping once.
-      const auto from = resident_.lower_bound(cyclic_cursor_);
-      auto it = std::find_if(from, resident_.end(), eligible);
-      if (it == resident_.end()) {
-        it = std::find_if(resident_.begin(), from, eligible);
-        if (it == from) {
+      const auto first_eligible = [this, &eligible](std::uint64_t from, std::uint64_t end) {
+        std::uint64_t id = NextResident(from);
+        while (id < end && !eligible(id)) {
+          id = NextResident(id + 1);
+        }
+        return id < end ? id : kNoSegment;
+      };
+      std::uint64_t id = first_eligible(cyclic_cursor_, kNoSegment);
+      if (id == kNoSegment) {
+        id = first_eligible(0, cyclic_cursor_);
+        if (id == kNoSegment) {
           return std::nullopt;
         }
       }
-      cyclic_cursor_ = it->first + 1;
-      return SegmentId{it->first};
+      cyclic_cursor_ = id + 1;
+      return SegmentId{id};
     }
     case SegmentReplacementKind::kLru: {
       // Strict `<` in id order: the lowest id wins among equal last uses.
-      auto victim = resident_.end();
-      for (auto it = resident_.begin(); it != resident_.end(); ++it) {
-        if (eligible(*it) &&
-            (victim == resident_.end() || it->second->last_use < victim->second->last_use)) {
-          victim = it;
+      std::uint64_t victim = kNoSegment;
+      for (std::uint64_t id = NextResident(0); id != kNoSegment; id = NextResident(id + 1)) {
+        if (eligible(id) &&
+            (victim == kNoSegment || segments_[id].last_use < segments_[victim].last_use)) {
+          victim = id;
         }
       }
-      if (victim == resident_.end()) {
+      if (victim == kNoSegment) {
         return std::nullopt;
       }
-      return SegmentId{victim->first};
+      return SegmentId{victim};
     }
     case SegmentReplacementKind::kRiceSecondChance: {
       // "Takes into account whether a copy of a segment exists in backing
@@ -98,20 +123,20 @@ std::optional<SegmentId> SegmentManager::ChooseVictim(SegmentId requester) {
       // The second pass returns the first eligible segment, so falling out
       // of both passes means there is none.
       for (int pass = 0; pass < 2; ++pass) {
-        for (const auto& entry : resident_) {
-          if (!eligible(entry)) {
+        for (std::uint64_t id = NextResident(0); id != kNoSegment; id = NextResident(id + 1)) {
+          if (!eligible(id)) {
             continue;
           }
-          SegmentInfo& info = *entry.second;
+          SegmentInfo& info = segments_[id];
           if (info.use) {
             info.use = false;  // second chance
             continue;
           }
           if (info.has_backing_copy && !info.modified) {
-            return SegmentId{entry.first};  // free to discard
+            return SegmentId{id};  // free to discard
           }
           if (pass == 1) {
-            return SegmentId{entry.first};  // unused but needs a write-back
+            return SegmentId{id};  // unused but needs a write-back
           }
         }
       }
@@ -137,8 +162,7 @@ void SegmentManager::Evict(SegmentId victim, Cycles now) {
     info.has_backing_copy = true;
     info.modified = false;
   }
-  resident_.erase(victim.value);
-  resident_by_base_.erase(info.base.value);
+  ClearResident(victim.value);
   allocator_.Free(info.base);
   info.present = false;
   ++stats_.evictions;
@@ -146,16 +170,22 @@ void SegmentManager::Evict(SegmentId victim, Cycles now) {
 
 void SegmentManager::CompactCore(Cycles now) {
   (void)now;
+  // The resident segments by base, taken once: compaction moves each live
+  // block at most once, so the old bases stay the keys of every move.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> by_base;  // (base, id)
+  for (std::uint64_t id = NextResident(0); id != kNoSegment; id = NextResident(id + 1)) {
+    by_base.emplace_back(segments_[id].base.value, id);
+  }
+  std::sort(by_base.begin(), by_base.end());
   const CompactionResult result = compactor_.Compact(
       &allocator_, /*store=*/nullptr,
-      [this](PhysicalAddress from, PhysicalAddress to, WordCount size) {
+      [this, &by_base](PhysicalAddress from, PhysicalAddress to, WordCount size) {
         (void)size;
-        auto it = resident_by_base_.find(from.value);
-        DSA_ASSERT(it != resident_by_base_.end(), "moved block is not a resident segment");
-        const SegmentId segment = it->second;
-        resident_by_base_.erase(it);
-        resident_by_base_.emplace(to.value, segment);
-        InfoFor(segment).base = to;  // the only stored absolute address
+        const auto it = std::lower_bound(by_base.begin(), by_base.end(),
+                                         std::pair{from.value, std::uint64_t{0}});
+        DSA_ASSERT(it != by_base.end() && it->first == from.value,
+                   "moved block is not a resident segment");
+        segments_[it->second].base = to;  // the only stored absolute address
       });
   ++stats_.compactions;
   stats_.words_compacted += result.words_moved;
@@ -199,8 +229,7 @@ Cycles SegmentManager::FetchInto(SegmentId segment, Block block, Cycles now) {
   DSA_TRACE_EMIT(tracer_, EventKind::kTransferComplete, segment.value, /*level=*/0, wait);
   info.present = true;
   info.base = block.addr;
-  resident_.emplace(segment.value, &info);
-  resident_by_base_.emplace(block.addr.value, segment);
+  MarkResident(segment.value);
   return wait;
 }
 
@@ -208,14 +237,13 @@ Expected<SegmentAccessOutcome, Fault> SegmentManager::Access(SegmentId segment, 
                                                              AccessKind kind, Cycles now) {
   DSA_TRACE_CLOCK(tracer_, now);
   ++stats_.accesses;
-  auto it = segments_.find(segment.value);
-  if (it == segments_.end()) {
+  if (!Exists(segment)) {
     Fault fault;
     fault.kind = FaultKind::kInvalidSegment;
     fault.segment = segment;
     return MakeUnexpected(fault);
   }
-  SegmentInfo& info = it->second;
+  SegmentInfo& info = segments_[segment.value];
   if (offset >= info.extent) {
     // The automatic subscript check segmentation buys.
     Fault fault;
@@ -293,9 +321,7 @@ Expected<SegmentAccessOutcome, Fault> SegmentManager::Resize(SegmentId segment, 
     return MakeUnexpected(fault);
   }
   // Read the old base only now: compacting inside MakeRoom may have moved it.
-  resident_by_base_.erase(info.base.value);
   allocator_.Free(info.base);
-  resident_by_base_.emplace(grown->addr.value, segment);
   info.base = grown->addr;
   info.extent = extent;
   info.modified = true;

@@ -10,10 +10,8 @@
 #define SRC_SEG_SEGMENT_MANAGER_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
 #include "src/alloc/compaction.h"
 #include "src/alloc/variable_allocator.h"
@@ -110,16 +108,19 @@ class SegmentManager {
   Cycles AdviseWillNeed(SegmentId segment, Cycles now);
 
   bool IsResident(SegmentId segment) const;
-  bool Exists(SegmentId segment) const { return segments_.contains(segment.value); }
+  bool Exists(SegmentId segment) const {
+    return segment.value < segments_.size() && segments_[segment.value].live;
+  }
   WordCount ExtentOf(SegmentId segment) const;
   WordCount ResidentWords() const { return allocator_.live_words(); }
-  std::size_t segment_count() const { return segments_.size(); }
+  std::size_t segment_count() const { return live_segments_; }
 
   const SegmentManagerStats& stats() const { return stats_; }
   const VariableAllocator& allocator() const { return allocator_; }
 
  private:
   struct SegmentInfo {
+    bool live{false};          // false once destroyed (ids are never reused)
     WordCount extent{0};
     bool present{false};
     PhysicalAddress base;      // meaningful when present
@@ -139,9 +140,16 @@ class SegmentManager {
   std::optional<Block> MakeRoom(WordCount size, Cycles now, SegmentId requester);
 
   // Picks a resident, unpinned victim != requester; nullopt if none.  Walks
-  // only `resident_`: O(log r) for the cyclic sweep, O(r) for LRU and Rice,
-  // where r is the number of resident segments.
+  // the residency bitmap in id order, one word per 64 ids: the cyclic sweep
+  // stops at the first eligible resident segment after the cursor, LRU and
+  // Rice visit every resident segment, O(n/64 + r) for n ids and r resident.
   std::optional<SegmentId> ChooseVictim(SegmentId requester);
+
+  static constexpr std::uint64_t kNoSegment = ~std::uint64_t{0};
+  // The lowest resident id >= `from`, or kNoSegment.
+  std::uint64_t NextResident(std::uint64_t from) const;
+  void MarkResident(std::uint64_t id) { resident_[id / 64] |= std::uint64_t{1} << (id % 64); }
+  void ClearResident(std::uint64_t id) { resident_[id / 64] &= ~(std::uint64_t{1} << (id % 64)); }
 
   // Evicts `victim`, writing back if modified; returns channel-side cost.
   void Evict(SegmentId victim, Cycles now);
@@ -157,13 +165,14 @@ class SegmentManager {
   TransferChannel* channel_;
   VariableAllocator allocator_;
   CompactionEngine compactor_;
-  std::unordered_map<std::uint64_t, SegmentInfo> segments_;
-  // The present segments in id order, pointing into `segments_` (whose nodes
-  // never move).  Changed only where residency changes: FetchInto inserts,
-  // Evict and Destroy erase.
-  std::map<std::uint64_t, SegmentInfo*> resident_;
-  std::unordered_map<std::uint64_t, SegmentId> resident_by_base_;
-  std::uint64_t next_segment_id_{0};
+  // Indexed by id; a destroyed segment leaves a dead slot.  Create may grow
+  // the vector, so no SegmentInfo& is held across it.
+  std::vector<SegmentInfo> segments_;
+  std::size_t live_segments_{0};
+  // Residency bitmap over ids (bit id % 64 of word id / 64), set exactly
+  // while the segment is present.  Changed only where residency changes:
+  // FetchInto sets, Evict and Destroy clear.
+  std::vector<std::uint64_t> resident_;
   std::uint64_t cyclic_cursor_{0};
   SegmentManagerStats stats_;
 };

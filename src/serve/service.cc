@@ -339,11 +339,16 @@ Status<SnapshotError> ServiceLoop::FinishTenant(Tenant* t) {
 }
 
 Status<SnapshotError> ServiceLoop::AppendPendingEvents(Tenant* t) {
-  const std::vector<TraceEvent> events = t->tracer.Snapshot();
-  if (events.empty()) {
+  const std::size_t events = t->tracer.size();
+  if (events == 0) {
     return Ok();
   }
-  const std::string lines = EventsToJsonl(events);
+  // Encoded straight from the ring, oldest first: EventsToJsonl's bytes.
+  std::string lines;
+  t->tracer.ForEach([&lines](const TraceEvent& event) {
+    AppendEventJson(&lines, event);
+    lines.push_back('\n');
+  });
   // Append at the published watermark: Fs::Append truncates to that offset
   // first, so a torn or retried append lands these bytes exactly once —
   // the committed cut records the returned (64-bit) offset, and the bytes
@@ -354,7 +359,7 @@ Status<SnapshotError> ServiceLoop::AppendPendingEvents(Tenant* t) {
                                   size.error().Describe()));
   }
   t->jsonl_bytes = *size;
-  t->events_published += events.size();
+  t->events_published += events;
   t->tracer.Clear();
   return Ok();
 }

@@ -29,7 +29,6 @@ void SegmentedVm::Reset() {
   manager_ = std::make_unique<SegmentManager>(mgr, backing_.get(), channel_.get());
   manager_->SetTracer(config_.tracer);
 
-  directory_ = SymbolicSegmentDirectory{};
   workload_segments_.clear();
   descriptor_cache_ = AssociativeMemory(config_.descriptor_cache_entries);
   space_time_ = SpaceTimeAccumulator{};
@@ -48,12 +47,6 @@ SegmentId SegmentedVm::SegmentFor(Name name) {
     return it->second;
   }
   const SegmentId segment = manager_->Create(config_.workload_segment_words);
-  if (config_.symbolic_names) {
-    // The compiler's symbol for this block; the directory's bookkeeping
-    // counters feed experiment E8.
-    const auto bound = directory_.Create("slice-" + std::to_string(slice));
-    DSA_ASSERT(bound.has_value(), "segment directory full");
-  }
   workload_segments_.emplace(slice, segment);
   return segment;
 }

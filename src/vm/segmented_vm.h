@@ -20,7 +20,6 @@
 #include "src/map/cost_model.h"
 #include "src/mem/backing_store.h"
 #include "src/mem/channel.h"
-#include "src/naming/symbolic.h"
 #include "src/seg/segment_manager.h"
 #include "src/vm/system.h"
 
@@ -79,7 +78,6 @@ class SegmentedVm : public StorageAllocationSystem {
   std::unique_ptr<BackingStore> backing_;
   std::unique_ptr<TransferChannel> channel_;
   std::unique_ptr<SegmentManager> manager_;
-  SymbolicSegmentDirectory directory_;
   std::unordered_map<std::uint64_t, SegmentId> workload_segments_;  // slice index -> segment
   AssociativeMemory descriptor_cache_;
   SpaceTimeAccumulator space_time_;

@@ -77,7 +77,7 @@ TEST(EventTracerTest, DisabledTracerEmitsNothing) {
 }
 
 TEST(EventTracerTest, EmitMacroToleratesNullTracer) {
-  EventTracer* tracer = nullptr;
+  [[maybe_unused]] EventTracer* tracer = nullptr;
   DSA_TRACE_EMIT(tracer, EventKind::kPageFault, 1);  // must not crash
   DSA_TRACE_CLOCK(tracer, 99);
 }

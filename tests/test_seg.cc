@@ -492,6 +492,25 @@ TEST_F(SegmentManagerTest, CyclicCursorWrapsPastHighestResident) {
   EXPECT_EQ(manager_->stats().evictions, 4u);
 }
 
+TEST_F(SegmentManagerTest, CyclicWrapReachesTheIdJustBelowTheCursor) {
+  const SegmentId a = manager_->Create(1000);
+  const SegmentId b = manager_->Create(1000);
+  const SegmentId c = manager_->Create(1000);
+  ASSERT_TRUE(manager_->Access(a, 0, AccessKind::kRead, 0).has_value());
+  ASSERT_TRUE(manager_->Access(b, 0, AccessKind::kRead, 1).has_value());
+  ASSERT_TRUE(manager_->Access(c, 0, AccessKind::kRead, 2).has_value());  // evicts a
+  manager_->Destroy(c);
+  // a returns into c's hole without an eviction, so the cursor still sits
+  // just past it; with b pinned, the wrap must reach a.
+  ASSERT_TRUE(manager_->Access(a, 0, AccessKind::kRead, 3).has_value());
+  manager_->AdviseKeepResident(b);
+  const SegmentId d = manager_->Create(1000);
+  ASSERT_TRUE(manager_->Access(d, 0, AccessKind::kRead, 4).has_value());
+  EXPECT_FALSE(manager_->IsResident(a));
+  EXPECT_TRUE(manager_->IsResident(b));
+  EXPECT_EQ(manager_->stats().evictions, 2u);
+}
+
 TEST_F(SegmentManagerTest, LruBreaksTiesTowardLowestId) {
   SegmentManagerConfig config;
   config.core_words = 2048;
@@ -563,6 +582,49 @@ TEST_F(SegmentManagerTest, AccessFaultsRatherThanEvictPinned) {
     ASSERT_TRUE(manager_->Access(c, 0, AccessKind::kRead, 3).has_value());
     EXPECT_TRUE(manager_->IsResident(a));
     EXPECT_FALSE(manager_->IsResident(b));
+  }
+}
+
+TEST_F(SegmentManagerTest, DestroyedIdStaysInvalidAndIsNeverAVictim) {
+  for (SegmentReplacementKind kind :
+       {SegmentReplacementKind::kCyclic, SegmentReplacementKind::kLru,
+        SegmentReplacementKind::kRiceSecondChance}) {
+    SegmentManagerConfig config;
+    config.core_words = 2048;
+    config.max_segment_extent = 1024;
+    config.replacement = kind;
+    Rebuild(config);
+    // `a` has the lowest id and the oldest use: every policy would pick it
+    // first if its residency outlived it.
+    const SegmentId a = manager_->Create(1000);
+    const SegmentId b = manager_->Create(1000);
+    ASSERT_TRUE(manager_->Access(a, 0, AccessKind::kRead, 0).has_value());
+    ASSERT_TRUE(manager_->Access(b, 0, AccessKind::kWrite, 1).has_value());
+    ASSERT_EQ(manager_->segment_count(), 2u);
+    manager_->Destroy(a);
+    EXPECT_FALSE(manager_->Exists(a));
+    EXPECT_EQ(manager_->segment_count(), 1u);
+    const auto gone = manager_->Access(a, 0, AccessKind::kRead, 2);
+    ASSERT_FALSE(gone.has_value());
+    EXPECT_EQ(gone.error().kind, FaultKind::kInvalidSegment);
+    EXPECT_EQ(gone.error().segment, a);
+
+    const SegmentId c = manager_->Create(1000);
+    EXPECT_NE(c, a);
+    EXPECT_GT(c.value, b.value);
+    EXPECT_EQ(manager_->segment_count(), 2u);
+    ASSERT_TRUE(manager_->Access(c, 0, AccessKind::kRead, 3).has_value());  // a's hole
+    EXPECT_EQ(manager_->stats().evictions, 0u);
+
+    // Core is full: the next fault must evict a live segment, never `a`.
+    const SegmentId d = manager_->Create(1000);
+    ASSERT_TRUE(manager_->Access(d, 0, AccessKind::kRead, 4).has_value());
+    EXPECT_EQ(manager_->stats().evictions, 1u);
+    EXPECT_FALSE(manager_->Exists(a));
+    EXPECT_TRUE(manager_->IsResident(d));
+    EXPECT_NE(manager_->IsResident(b), manager_->IsResident(c));
+    EXPECT_EQ(manager_->segment_count(), 3u);
+    EXPECT_EQ(manager_->ResidentWords(), 2000u);
   }
 }
 

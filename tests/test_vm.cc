@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/rng.h"
+#include "src/core/snapshot.h"
 #include "src/trace/synthetic.h"
 #include "src/vm/paged_segmented_vm.h"
 #include "src/vm/paged_vm.h"
@@ -197,6 +198,76 @@ TEST(SegmentedVmTest, DescriptorCacheCutsMappingCost) {
   const VmReport with = SegmentedVm(cached).Run(trace);
   EXPECT_LT(with.MeanTranslationCost(), without.MeanTranslationCost());
   EXPECT_GT(with.tlb_hit_rate, 0.5);
+}
+
+// Every replacement policy, both naming modes, with and without a descriptor
+// cache and compaction, over a seeded Zipf trace and a seeded working-set
+// trace: FNV-64 over each VmReport field and the allocator's stats.  Recorded
+// against the hash-map segment table and std::map residency index, so the
+// id-indexed table and bitmap are held to the same simulated outputs.  (All
+// slices share one extent, so compaction never fires here;
+// SegmentVictimChoiceTest covers it.)
+TEST(SegmentedVmTest, SeededRunsKeepTheirPinnedDigest) {
+  ZipfTraceParams zipf;
+  zipf.extent = 1 << 15;
+  zipf.length = 20000;
+  zipf.theta = 0.9;
+  zipf.seed = 17;
+  WorkingSetTraceParams working_set;
+  working_set.extent = 1 << 15;
+  working_set.region_words = 256;
+  working_set.regions_per_phase = 10;
+  working_set.phases = 4;
+  working_set.phase_length = 5000;
+  working_set.seed = 23;
+  const ReferenceTrace traces[] = {MakeZipfTrace(zipf), MakeWorkingSetTrace(working_set)};
+
+  SnapshotWriter fold;
+  for (SegmentReplacementKind kind :
+       {SegmentReplacementKind::kCyclic, SegmentReplacementKind::kLru,
+        SegmentReplacementKind::kRiceSecondChance}) {
+    for (bool symbolic : {true, false}) {
+      for (std::size_t cache : {std::size_t{0}, std::size_t{8}}) {
+        for (bool compact : {false, true}) {
+          SegmentedVmConfig config;
+          config.core_words = 6000;
+          config.max_segment_extent = 1024;
+          config.workload_segment_words = 384;
+          config.backing_level = MakeDrumLevel("drum", 1u << 16, 2, 500);
+          config.replacement = kind;
+          config.symbolic_names = symbolic;
+          config.descriptor_cache_entries = cache;
+          config.compact_on_fragmentation = compact;
+          for (const ReferenceTrace& trace : traces) {
+            SegmentedVm vm(config);
+            const VmReport report = vm.Run(trace);
+            EXPECT_GT(report.faults, 0u);
+            fold.Str(report.label);
+            for (std::uint64_t v :
+                 {report.references, report.faults, report.bounds_violations,
+                  report.writebacks, report.total_cycles, report.compute_cycles,
+                  report.translation_cycles, report.wait_cycles,
+                  report.peak_resident_words}) {
+              fold.U64(v);
+            }
+            fold.F64(report.space_time.active);
+            fold.F64(report.space_time.waiting);
+            fold.F64(report.tlb_hit_rate);
+            SaveAllocatorStats(&fold, vm.manager().allocator().stats());
+            const SegmentManagerStats& stats = vm.manager().stats();
+            for (std::uint64_t v : {stats.accesses, stats.segment_faults, stats.evictions,
+                                    stats.writebacks, stats.compactions, stats.words_compacted,
+                                    stats.wait_cycles, stats.compaction_cycles}) {
+              fold.U64(v);
+            }
+            fold.U64(vm.manager().segment_count());
+          }
+        }
+      }
+    }
+  }
+  const std::uint64_t digest = Fnv64(fold.TakePayload());
+  EXPECT_EQ(digest, 0xbbf05ad4fb6e3129ULL) << std::hex << "got 0x" << digest;
 }
 
 // --- PagedSegmentedVm ----------------------------------------------------------------

@@ -51,20 +51,6 @@ inline void SaveAllocatorStats(SnapshotWriter* w, const AllocatorStats& stats) {
   w->U64(stats.free_cycles);
 }
 
-inline void LoadAllocatorStats(SnapshotReader* r, AllocatorStats* stats) {
-  AllocatorStats loaded;
-  loaded.allocations = r->U64();
-  loaded.failures = r->U64();
-  loaded.frees = r->U64();
-  loaded.words_requested = r->U64();
-  loaded.words_allocated = r->U64();
-  loaded.alloc_cycles = r->U64();
-  loaded.free_cycles = r->U64();
-  if (r->ok()) {
-    *stats = loaded;
-  }
-}
-
 class Allocator {
  public:
   virtual ~Allocator() = default;

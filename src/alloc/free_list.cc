@@ -124,49 +124,4 @@ std::vector<Block> FreeList::Holes() const {
   return holes;
 }
 
-void FreeList::SaveState(SnapshotWriter* w) const {
-  w->U64(holes_.size());
-  for (const auto& [start, size] : holes_) {
-    w->U64(start);
-    w->U64(size);
-  }
-}
-
-void FreeList::LoadState(SnapshotReader* r) {
-  const std::uint64_t count = r->Count(std::uint64_t{1} << 32);
-  HoleMap holes;
-  std::set<std::pair<WordCount, std::uint64_t>> by_size;
-  WordCount total = 0;
-  bool first = true;
-  std::uint64_t prev_end = 0;
-  for (std::uint64_t i = 0; i < count && r->ok(); ++i) {
-    const std::uint64_t start = r->U64();
-    const WordCount size = r->U64();
-    if (!r->ok()) {
-      return;
-    }
-    if (size == 0) {
-      r->Fail(SnapshotErrorKind::kBadValue, "zero-sized hole");
-      return;
-    }
-    // Strictly increasing and never touching: adjacent holes would mean the
-    // coalescing invariant was broken when the snapshot was taken.
-    if (!first && start <= prev_end) {
-      r->Fail(SnapshotErrorKind::kBadValue, "holes out of order, overlapping, or uncoalesced");
-      return;
-    }
-    first = false;
-    prev_end = start + size;
-    holes.emplace_hint(holes.end(), start, size);
-    by_size.emplace(size, start);
-    total += size;
-  }
-  if (!r->ok()) {
-    return;
-  }
-  holes_ = std::move(holes);
-  by_size_ = std::move(by_size);
-  total_free_ = total;
-}
-
 }  // namespace dsa

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "src/alloc/block.h"
-#include "src/core/snapshot.h"
 #include "src/core/types.h"
 
 namespace dsa {
@@ -72,13 +71,6 @@ class FreeList {
     by_size_.clear();
     total_free_ = 0;
   }
-
-  // Checkpoint serialization: the address-ordered hole map is the source of
-  // truth; the size index and the free-word total are rebuilt on load.
-  // LoadState validates the coalescing invariant (holes strictly ordered,
-  // never adjacent or overlapping) and reports violations via the reader.
-  void SaveState(SnapshotWriter* w) const;
-  void LoadState(SnapshotReader* r);
 
  private:
   HoleMap holes_;

@@ -488,106 +488,4 @@ bool SegregatedFitAllocator::CheckInvariants(std::string* error) const {
   return true;
 }
 
-void SegregatedFitAllocator::SaveState(SnapshotWriter* w) const {
-  w->U64(blocks_.size());
-  for (const auto& [addr, rec] : blocks_) {
-    w->U64(addr);
-    w->U64(rec.size);
-    w->U64(rec.requested);
-    w->U8(static_cast<std::uint8_t>(rec.state));
-  }
-  w->U64(quick_.size());
-  for (const auto& list : quick_) {
-    w->U64(list.size());
-    for (std::uint64_t addr : list) {
-      w->U64(addr);
-    }
-  }
-  w->U64(live_words_);
-  w->U64(reserved_words_);
-  w->U64(parked_words_);
-  SaveAllocatorStats(w, stats_);
-  w->U64(quick_stats_.quick_hits);
-  w->U64(quick_stats_.quick_parks);
-  w->U64(quick_stats_.class_misses);
-  w->U64(quick_stats_.drains);
-  w->U64(quick_stats_.drained_blocks);
-  w->U64(quick_stats_.merges);
-}
-
-void SegregatedFitAllocator::LoadState(SnapshotReader* r) {
-  const std::uint64_t block_count = r->Count(capacity_);
-  BlockMap blocks;
-  for (std::uint64_t i = 0; i < block_count && r->ok(); ++i) {
-    const std::uint64_t addr = r->U64();
-    Rec rec;
-    rec.size = r->U64();
-    rec.requested = r->U64();
-    const std::uint8_t raw_state = r->U8();
-    if (!r->ok()) {
-      return;
-    }
-    if (raw_state > static_cast<std::uint8_t>(State::kParked)) {
-      r->Fail(SnapshotErrorKind::kBadValue, "unknown block state");
-      return;
-    }
-    rec.state = static_cast<State>(raw_state);
-    if (!blocks.emplace(addr, rec).second) {
-      r->Fail(SnapshotErrorKind::kBadValue, "duplicate block address");
-      return;
-    }
-  }
-  const std::uint64_t class_count = r->U64();
-  if (r->ok() && class_count != quick_.size()) {
-    r->Fail(SnapshotErrorKind::kBadValue, "size-class count mismatch");
-    return;
-  }
-  std::vector<std::vector<std::uint64_t>> quick(quick_.size());
-  for (std::size_t cls = 0; cls < quick.size() && r->ok(); ++cls) {
-    const std::uint64_t entries = r->Count(capacity_);
-    quick[cls].reserve(entries);
-    for (std::uint64_t i = 0; i < entries && r->ok(); ++i) {
-      quick[cls].push_back(r->U64());
-    }
-  }
-  const WordCount live_words = r->U64();
-  const WordCount reserved_words = r->U64();
-  const WordCount parked_words = r->U64();
-  AllocatorStats stats;
-  LoadAllocatorStats(r, &stats);
-  QuickStats quick_stats;
-  quick_stats.quick_hits = r->U64();
-  quick_stats.quick_parks = r->U64();
-  quick_stats.class_misses = r->U64();
-  quick_stats.drains = r->U64();
-  quick_stats.drained_blocks = r->U64();
-  quick_stats.merges = r->U64();
-  if (!r->ok()) {
-    return;
-  }
-  blocks_ = std::move(blocks);
-  quick_ = std::move(quick);
-  live_words_ = live_words;
-  reserved_words_ = reserved_words;
-  parked_words_ = parked_words;
-  stats_ = stats;
-  quick_stats_ = quick_stats;
-  // Rebuild the derived indexes from the block map, then run the full
-  // structural audit; a corrupt payload that survived the checksum (or a
-  // hand-edited snapshot) surfaces as a typed error here, never an abort.
-  for (auto& list : class_free_) {
-    list.clear();
-  }
-  std::fill(binmap_.begin(), binmap_.end(), 0);
-  for (const auto& [addr, rec] : blocks_) {
-    if (rec.state == State::kFree) {
-      InsertClassEntry(addr, rec.size);
-    }
-  }
-  std::string violation;
-  if (!CheckInvariants(&violation)) {
-    r->Fail(SnapshotErrorKind::kBadValue, "allocator invariants violated: " + violation);
-  }
-}
-
 }  // namespace dsa

@@ -124,15 +124,6 @@ class SegregatedFitAllocator : public Allocator, public Compactible {
   // not exist (eager merges ran), and every words counter reconciles.
   bool CheckInvariants(std::string* error = nullptr) const;
 
-  // Checkpoint serialization: the block map (address order), the quick lists
-  // (park order — scan order is LIFO over these), and every counter.  The
-  // per-class free lists and the binmap are rebuilt on load, after which the
-  // full CheckInvariants audit runs and any violation is reported through
-  // the reader.  The allocator must be constructed with the same capacity
-  // and config the snapshot was taken under.
-  void SaveState(SnapshotWriter* w) const;
-  void LoadState(SnapshotReader* r);
-
  private:
   enum class State : std::uint8_t { kLive, kFree, kParked };
   struct Rec {

@@ -14,8 +14,6 @@ const char* ToString(FaultKind kind) {
       return "invalid segment";
     case FaultKind::kInvalidName:
       return "invalid name";
-    case FaultKind::kProtectionViolation:
-      return "protection violation";
   }
   return "?";
 }

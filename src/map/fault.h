@@ -18,7 +18,6 @@ enum class FaultKind : std::uint8_t {
   kBoundsViolation,    // name outside the segment/limit extent (illegal subscript)
   kInvalidSegment,     // no such segment in the table
   kInvalidName,        // name outside the address representation
-  kProtectionViolation,  // access kind forbidden by the segment's protection
 };
 
 struct Fault {

@@ -44,40 +44,6 @@ void SegmentPageMapper::DefineSegment(SegmentId segment, WordCount extent) {
   entry.pages = std::make_unique<PageTable>(pages);
 }
 
-void SegmentPageMapper::ResizeSegment(SegmentId segment, WordCount extent) {
-  DSA_ASSERT(extent <= max_segment_extent(), "segment extent exceeds the representation");
-  SegmentTableEntry& entry = EntryFor(segment);
-  DSA_ASSERT(entry.valid, "resize of undefined segment");
-  const std::size_t pages = static_cast<std::size_t>((extent + page_words_ - 1) / page_words_);
-  // Rebuild the page table preserving mappings that survive the resize.
-  auto grown = std::make_unique<PageTable>(pages);
-  const std::size_t keep = std::min(pages, entry.pages->page_count());
-  for (std::size_t p = 0; p < keep; ++p) {
-    const PageTableEntry& old_entry = entry.pages->entry(PageId{p});
-    if (old_entry.present) {
-      grown->Map(PageId{p}, old_entry.frame);
-    }
-  }
-  // Shrinking invalidates TLB entries for truncated pages.
-  for (std::size_t p = pages; p < entry.pages->page_count(); ++p) {
-    tlb_.Invalidate(TlbKey(segment, PageId{p}));
-  }
-  entry.pages = std::move(grown);
-  entry.extent = extent;
-  // The cached line may point into the truncated tail; drop it wholesale.
-  line_valid_ = false;
-}
-
-void SegmentPageMapper::DestroySegment(SegmentId segment) {
-  SegmentTableEntry& entry = EntryFor(segment);
-  DSA_ASSERT(entry.valid, "destroy of undefined segment");
-  for (std::size_t p = 0; p < entry.pages->page_count(); ++p) {
-    tlb_.Invalidate(TlbKey(segment, PageId{p}));
-  }
-  entry = SegmentTableEntry{};
-  line_valid_ = false;
-}
-
 bool SegmentPageMapper::SegmentIsDefined(SegmentId segment) const {
   return segment.value < table_.size() && table_[segment.value].valid;
 }

@@ -37,10 +37,6 @@ class SegmentPageMapper : public AddressMapper {
   // --- segment lifecycle ---------------------------------------------------
   // Declares a segment of `extent` words (creates its page table).
   void DefineSegment(SegmentId segment, WordCount extent);
-  // Dynamic segments: "the extent of each segment can be varied during
-  // execution by special program directives."
-  void ResizeSegment(SegmentId segment, WordCount extent);
-  void DestroySegment(SegmentId segment);
   bool SegmentIsDefined(SegmentId segment) const;
   WordCount SegmentExtent(SegmentId segment) const;
 
@@ -93,7 +89,7 @@ class SegmentPageMapper : public AddressMapper {
   // Software last-translation line: memoizes the most recent successful
   // (segment, page) -> frame translation so repeated references skip both
   // table walks while charging the identical simulated cost.  Invalidated
-  // whenever the cached mapping could change (unmap/remap/resize/destroy).
+  // whenever the cached mapping could change (unmap/remap).
   // Only consulted when no associative memory and no dedicated execute
   // register are configured: those facilities are the modeled fast paths and
   // their recency and hit statistics must keep advancing.

@@ -77,23 +77,14 @@ bool SegmentManager::IsResident(SegmentId segment) const { return InfoFor(segmen
 
 WordCount SegmentManager::ExtentOf(SegmentId segment) const { return InfoFor(segment).extent; }
 
-std::optional<SegmentId> SegmentManager::ChooseVictim(SegmentId requester) {
-  const auto eligible = [this, requester](std::uint64_t id) {
-    return !segments_[id].pinned && id != requester.value;
-  };
+std::optional<SegmentId> SegmentManager::ChooseVictim() {
   switch (config_.replacement) {
     case SegmentReplacementKind::kCyclic: {
-      // Sweep segment ids cyclically from the cursor, wrapping once.
-      const auto first_eligible = [this, &eligible](std::uint64_t from, std::uint64_t end) {
-        std::uint64_t id = NextResident(from);
-        while (id < end && !eligible(id)) {
-          id = NextResident(id + 1);
-        }
-        return id < end ? id : kNoSegment;
-      };
-      std::uint64_t id = first_eligible(cyclic_cursor_, kNoSegment);
+      // Sweep segment ids cyclically: the next resident id from the cursor,
+      // else wrap to the lowest resident id.
+      std::uint64_t id = NextResident(cyclic_cursor_);
       if (id == kNoSegment) {
-        id = first_eligible(0, cyclic_cursor_);
+        id = NextResident(0);
         if (id == kNoSegment) {
           return std::nullopt;
         }
@@ -103,15 +94,15 @@ std::optional<SegmentId> SegmentManager::ChooseVictim(SegmentId requester) {
     }
     case SegmentReplacementKind::kLru: {
       // Strict `<` in id order: the lowest id wins among equal last uses.
-      std::uint64_t victim = kNoSegment;
-      for (std::uint64_t id = NextResident(0); id != kNoSegment; id = NextResident(id + 1)) {
-        if (eligible(id) &&
-            (victim == kNoSegment || segments_[id].last_use < segments_[victim].last_use)) {
-          victim = id;
-        }
-      }
+      std::uint64_t victim = NextResident(0);
       if (victim == kNoSegment) {
         return std::nullopt;
+      }
+      for (std::uint64_t id = NextResident(victim + 1); id != kNoSegment;
+           id = NextResident(id + 1)) {
+        if (segments_[id].last_use < segments_[victim].last_use) {
+          victim = id;
+        }
       }
       return SegmentId{victim};
     }
@@ -120,13 +111,10 @@ std::optional<SegmentId> SegmentManager::ChooseVictim(SegmentId requester) {
       // storage and whether or not a segment has been used since it was last
       // considered for replacement."  Preference order: clean+unused,
       // unused, clean, anything — clearing use sensors as they are passed.
-      // The second pass returns the first eligible segment, so falling out
-      // of both passes means there is none.
+      // The second pass returns the first resident segment, so falling out
+      // of both passes means none is resident.
       for (int pass = 0; pass < 2; ++pass) {
         for (std::uint64_t id = NextResident(0); id != kNoSegment; id = NextResident(id + 1)) {
-          if (!eligible(id)) {
-            continue;
-          }
           SegmentInfo& info = segments_[id];
           if (info.use) {
             info.use = false;  // second chance
@@ -168,8 +156,7 @@ void SegmentManager::Evict(SegmentId victim, Cycles now) {
   ++stats_.evictions;
 }
 
-void SegmentManager::CompactCore(Cycles now) {
-  (void)now;
+void SegmentManager::CompactCore() {
   // The resident segments by base, taken once: compaction moves each live
   // block at most once, so the old bases stay the keys of every move.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> by_base;  // (base, id)
@@ -192,7 +179,7 @@ void SegmentManager::CompactCore(Cycles now) {
   stats_.compaction_cycles += result.move_cycles;
 }
 
-std::optional<Block> SegmentManager::MakeRoom(WordCount size, Cycles now, SegmentId requester) {
+std::optional<Block> SegmentManager::MakeRoom(WordCount size, Cycles now) {
   for (;;) {
     if (auto block = allocator_.Allocate(size)) {
       return block;
@@ -201,10 +188,10 @@ std::optional<Block> SegmentManager::MakeRoom(WordCount size, Cycles now, Segmen
     // the configuration allows, otherwise fall through to eviction.
     if (config_.compact_on_fragmentation && allocator_.free_list().total_free() >= size &&
         allocator_.free_list().largest_hole() < size) {
-      CompactCore(now);
+      CompactCore();
       continue;
     }
-    const std::optional<SegmentId> victim = ChooseVictim(requester);
+    const std::optional<SegmentId> victim = ChooseVictim();
     if (!victim.has_value()) {
       return std::nullopt;
     }
@@ -253,20 +240,12 @@ Expected<SegmentAccessOutcome, Fault> SegmentManager::Access(SegmentId segment, 
     return MakeUnexpected(fault);
   }
 
-  if (!info.protection.Permits(kind)) {
-    Fault fault;
-    fault.kind = FaultKind::kProtectionViolation;
-    fault.segment = segment;
-    fault.name = Name{offset};
-    return MakeUnexpected(fault);
-  }
-
   SegmentAccessOutcome outcome;
   if (!info.present) {
     ++stats_.segment_faults;
     DSA_TRACE_EMIT(tracer_, EventKind::kSegmentFault, segment.value, info.extent);
     outcome.segment_fault = true;
-    const std::optional<Block> block = MakeRoom(info.extent, now, segment);
+    const std::optional<Block> block = MakeRoom(info.extent, now);
     if (!block.has_value()) {
       Fault fault;
       fault.kind = FaultKind::kSegmentNotPresent;
@@ -286,67 +265,10 @@ Expected<SegmentAccessOutcome, Fault> SegmentManager::Access(SegmentId segment, 
   return outcome;
 }
 
-Expected<SegmentAccessOutcome, Fault> SegmentManager::Resize(SegmentId segment, WordCount extent,
-                                                             Cycles now) {
-  DSA_TRACE_CLOCK(tracer_, now);
-  DSA_ASSERT(extent > 0, "segments are nonempty");
-  if (extent > config_.max_segment_extent) {
-    Fault fault;
-    fault.kind = FaultKind::kBoundsViolation;
-    fault.segment = segment;
-    fault.name = Name{extent};
-    return MakeUnexpected(fault);
-  }
-  SegmentInfo& info = InfoFor(segment);
-  SegmentAccessOutcome outcome;
-  if (!info.present || extent <= info.extent) {
-    // Absent segments just change their declared extent; shrinking a
-    // resident segment keeps it in place (the tail is abandoned at the next
-    // eviction — matching descriptor semantics, which carry one base+extent).
-    info.extent = extent;
-    if (info.present) {
-      outcome.address = info.base;
-    }
-    // A stale backing copy of the old size is superseded on next write-back.
-    return outcome;
-  }
-  // Growing a resident segment: obtain a new block, logically move the
-  // contents, release the old one.
-  const WordCount old_extent = info.extent;
-  const std::optional<Block> grown = MakeRoom(extent, now, segment);
-  if (!grown.has_value()) {
-    Fault fault;
-    fault.kind = FaultKind::kSegmentNotPresent;
-    fault.segment = segment;
-    return MakeUnexpected(fault);
-  }
-  // Read the old base only now: compacting inside MakeRoom may have moved it.
-  allocator_.Free(info.base);
-  info.base = grown->addr;
-  info.extent = extent;
-  info.modified = true;
-  outcome.address = grown->addr;
-  outcome.wait_cycles = config_.packing.MoveCost(old_extent);
-  stats_.wait_cycles += outcome.wait_cycles;
-  return outcome;
-}
-
-void SegmentManager::SetProtection(SegmentId segment, SegmentProtection protection) {
-  InfoFor(segment).protection = protection;
-}
-
-SegmentProtection SegmentManager::ProtectionOf(SegmentId segment) const {
-  return InfoFor(segment).protection;
-}
-
-void SegmentManager::AdviseKeepResident(SegmentId segment) { InfoFor(segment).pinned = true; }
-
-void SegmentManager::RevokeKeepResident(SegmentId segment) { InfoFor(segment).pinned = false; }
-
 void SegmentManager::AdviseWontNeed(SegmentId segment, Cycles now) {
   DSA_TRACE_CLOCK(tracer_, now);
   SegmentInfo& info = InfoFor(segment);
-  if (info.present && !info.pinned) {
+  if (info.present) {
     Evict(segment, now);
   }
 }

@@ -5,6 +5,11 @@
 // The manager owns a variable-unit allocator over core, a backing store for
 // absent segments, a segment replacement strategy, and (optionally) a
 // compaction engine for when free storage is plentiful but fragmented.
+//
+// A segment's extent is fixed when it is created, and every access kind is
+// permitted: the paper's dynamic segments ("the extent of each segment can be
+// varied during execution") and segment protection are described there but
+// not modelled here, since no workload exercises them.
 
 #ifndef SRC_SEG_SEGMENT_MANAGER_H_
 #define SRC_SEG_SEGMENT_MANAGER_H_
@@ -21,7 +26,6 @@
 #include "src/map/fault.h"
 #include "src/mem/backing_store.h"
 #include "src/mem/channel.h"
-#include "src/seg/protection.h"
 
 namespace dsa {
 
@@ -84,25 +88,12 @@ class SegmentManager {
   SegmentId Create(WordCount extent);
   void Destroy(SegmentId segment);
 
-  // Dynamic segments: "the extent of each segment can be varied during
-  // execution by special program directives."  A resident grown segment is
-  // re-placed (and may fault storage out to make room).
-  Expected<SegmentAccessOutcome, Fault> Resize(SegmentId segment, WordCount extent, Cycles now);
-
   // One reference to (segment, offset).  Bounds-checked; fetches the whole
   // segment on first touch; may evict/compact to make room.
   Expected<SegmentAccessOutcome, Fault> Access(SegmentId segment, WordCount offset,
                                                AccessKind kind, Cycles now);
 
-  // Protection: "segments form a very convenient unit for purposes of
-  // information protection".  Forbidden access kinds fault instead of
-  // resolving (and do not fetch an absent segment).
-  void SetProtection(SegmentId segment, SegmentProtection protection);
-  SegmentProtection ProtectionOf(SegmentId segment) const;
-
   // Predictive directives at segment granularity.
-  void AdviseKeepResident(SegmentId segment);
-  void RevokeKeepResident(SegmentId segment);
   void AdviseWontNeed(SegmentId segment, Cycles now);
   // "Will shortly be needed": fetch now if room can be made without evicting.
   Cycles AdviseWillNeed(SegmentId segment, Cycles now);
@@ -125,11 +116,9 @@ class SegmentManager {
     bool present{false};
     PhysicalAddress base;      // meaningful when present
     bool modified{false};
-    bool pinned{false};
     bool use{false};           // second-chance sensor
     bool has_backing_copy{false};
     Cycles last_use{0};
-    SegmentProtection protection{};
   };
 
   SegmentInfo& InfoFor(SegmentId segment);
@@ -137,13 +126,13 @@ class SegmentManager {
 
   // Makes a core block of `size` available, evicting/compacting as needed.
   // Returns the block, or nullopt if even evicting everything cannot help.
-  std::optional<Block> MakeRoom(WordCount size, Cycles now, SegmentId requester);
+  std::optional<Block> MakeRoom(WordCount size, Cycles now);
 
-  // Picks a resident, unpinned victim != requester; nullopt if none.  Walks
-  // the residency bitmap in id order, one word per 64 ids: the cyclic sweep
-  // stops at the first eligible resident segment after the cursor, LRU and
-  // Rice visit every resident segment, O(n/64 + r) for n ids and r resident.
-  std::optional<SegmentId> ChooseVictim(SegmentId requester);
+  // Picks a resident victim; nullopt if none is resident.  Walks the
+  // residency bitmap in id order, one word per 64 ids: the cyclic sweep stops
+  // at the first resident segment from the cursor, LRU and Rice visit every
+  // resident segment, O(n/64 + r) for n ids and r resident.
+  std::optional<SegmentId> ChooseVictim();
 
   static constexpr std::uint64_t kNoSegment = ~std::uint64_t{0};
   // The lowest resident id >= `from`, or kNoSegment.
@@ -151,13 +140,14 @@ class SegmentManager {
   void MarkResident(std::uint64_t id) { resident_[id / 64] |= std::uint64_t{1} << (id % 64); }
   void ClearResident(std::uint64_t id) { resident_[id / 64] &= ~(std::uint64_t{1} << (id % 64)); }
 
-  // Evicts `victim`, writing back if modified; returns channel-side cost.
+  // Evicts `victim`, writing it back first if it is modified or has no
+  // backing copy yet.
   void Evict(SegmentId victim, Cycles now);
 
   // Fetches `segment` into `block`; returns the program-visible wait.
   Cycles FetchInto(SegmentId segment, Block block, Cycles now);
 
-  void CompactCore(Cycles now);
+  void CompactCore();
 
   SegmentManagerConfig config_;
   EventTracer* tracer_{nullptr};

@@ -24,7 +24,6 @@ void SegmentedVm::Reset() {
   mgr.max_segment_extent = config_.max_segment_extent;
   mgr.placement = config_.placement;
   mgr.replacement = config_.replacement;
-  mgr.compact_on_fragmentation = config_.compact_on_fragmentation;
   mgr.packing = config_.packing;
   manager_ = std::make_unique<SegmentManager>(mgr, backing_.get(), channel_.get());
   manager_->SetTracer(config_.tracer);
@@ -122,12 +121,6 @@ Characteristics SegmentedVm::characteristics() const {
   c.contiguity = ArtificialContiguity::kNone;  // segments are address-contiguous in core
   c.unit = AllocationUnit::kVariableBlocks;
   return c;
-}
-
-void SegmentedVm::AdviseKeepResident(Name name) {
-  if (config_.accept_advice) {
-    manager_->AdviseKeepResident(SegmentFor(name));
-  }
 }
 
 void SegmentedVm::AdviseWontNeed(Name name) {

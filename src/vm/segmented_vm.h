@@ -34,15 +34,14 @@ struct SegmentedVmConfig {
                                            /*rotational_delay=*/6000)};
   PlacementStrategyKind placement{PlacementStrategyKind::kBestFit};
   SegmentReplacementKind replacement{SegmentReplacementKind::kCyclic};
-  bool compact_on_fragmentation{false};
   PackingChannel packing{};
   bool symbolic_names{true};  // B5000 true; 360/67-style linear segment names false
   // Descriptor lookup cost: one core reference for the PRT entry, unless the
   // descriptor cache (B8500 thin-film memory) hits.
   MappingCostModel mapping_costs{};
   std::size_t descriptor_cache_entries{0};
-  // Whether segment-level predictive directives are accepted (ACSI-MATIC
-  // program descriptions; the advisory API below is refused otherwise).
+  // Whether segment-level predictive directives are accepted (the
+  // AdviseWontNeed/AdviseWillNeed API below is refused otherwise).
   bool accept_advice{false};
   // Optional shared event tracer (not owned); attached to the segment
   // manager (and its allocator/compactor) on Reset.  Null: no tracing.
@@ -62,7 +61,6 @@ class SegmentedVm : public StorageAllocationSystem {
 
   // Predictive directives at workload-segment granularity (no-ops unless
   // accept_advice): `name` selects the workload slice containing it.
-  void AdviseKeepResident(Name name);
   void AdviseWontNeed(Name name);
   Cycles AdviseWillNeed(Name name);
   const AssociativeMemory& descriptor_cache() const { return descriptor_cache_; }

@@ -598,35 +598,6 @@ TEST_F(SegmentPageMapperTest, LinearViewUnpacksHighBits) {
   EXPECT_EQ(t->address, PhysicalAddress{5 * 256 + 10});
 }
 
-TEST_F(SegmentPageMapperTest, ResizeGrowKeepsMappings) {
-  mapper_.ResizeSegment(SegmentId{1}, 2000);
-  EXPECT_EQ(mapper_.SegmentExtent(SegmentId{1}), 2000u);
-  const auto t = mapper_.TranslateSegmented({SegmentId{1}, 10}, AccessKind::kRead, 0);
-  ASSERT_TRUE(t.has_value());
-  EXPECT_EQ(t->address, PhysicalAddress{5 * 256 + 10});
-  // The new tail pages exist but are absent.
-  const auto tail = mapper_.TranslateSegmented({SegmentId{1}, 1500}, AccessKind::kRead, 0);
-  ASSERT_FALSE(tail.has_value());
-  EXPECT_EQ(tail.error().kind, FaultKind::kPageNotPresent);
-}
-
-TEST_F(SegmentPageMapperTest, ResizeShrinkInvalidatesTail) {
-  mapper_.TranslateSegmented({SegmentId{1}, 10}, AccessKind::kRead, 0);  // TLB fill
-  mapper_.ResizeSegment(SegmentId{1}, 5);
-  const auto t = mapper_.TranslateSegmented({SegmentId{1}, 10}, AccessKind::kRead, 1);
-  ASSERT_FALSE(t.has_value());
-  EXPECT_EQ(t.error().kind, FaultKind::kBoundsViolation);
-}
-
-TEST_F(SegmentPageMapperTest, DestroySegmentInvalidatesEverything) {
-  mapper_.TranslateSegmented({SegmentId{1}, 10}, AccessKind::kRead, 0);  // TLB fill
-  mapper_.DestroySegment(SegmentId{1});
-  EXPECT_FALSE(mapper_.SegmentIsDefined(SegmentId{1}));
-  const auto t = mapper_.TranslateSegmented({SegmentId{1}, 10}, AccessKind::kRead, 1);
-  ASSERT_FALSE(t.has_value());
-  EXPECT_EQ(t.error().kind, FaultKind::kInvalidSegment);
-}
-
 TEST_F(SegmentPageMapperTest, TableWordsCountSegmentAndPageTables) {
   // 16 segment entries + ceil(1000/256)=4 page entries.
   EXPECT_EQ(mapper_.TableWords(), 16u + 4u);

@@ -1,5 +1,5 @@
 // Unit tests for src/mem: storage levels, the core store, backing stores,
-// channels, and the hierarchy.
+// and channels.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include "src/mem/backing_store.h"
 #include "src/mem/channel.h"
 #include "src/mem/core_store.h"
-#include "src/mem/hierarchy.h"
 #include "src/mem/storage_level.h"
 
 namespace dsa {
@@ -395,37 +394,6 @@ TEST(BackingStoreDeathTest, FetchFromBadSlotAborts) {
   std::vector<Word> out;
   EXPECT_DEATH(store.Fetch(5, 4, &out), "retired");
   EXPECT_DEATH(store.Fetch(5, 4, nullptr), "retired");
-}
-
-// --- StorageHierarchy ----------------------------------------------------------------
-
-TEST(StorageHierarchyTest, BuildsLevelsAndChannels) {
-  StorageHierarchy hierarchy(MakeCoreLevel("core", 1024, 1));
-  const std::size_t drum = hierarchy.AddBackingLevel(MakeDrumLevel("drum", 8192, 4, 100));
-  const std::size_t disk = hierarchy.AddBackingLevel(MakeDiskLevel("disk", 65536, 8, 5000));
-  EXPECT_EQ(hierarchy.backing_level_count(), 2u);
-  EXPECT_EQ(hierarchy.backing(drum).level().kind, StorageLevelKind::kDrum);
-  EXPECT_EQ(hierarchy.backing(disk).level().kind, StorageLevelKind::kDisk);
-  hierarchy.channel(drum).Schedule(hierarchy.backing(drum).level(), 4, 0);
-  EXPECT_EQ(hierarchy.channel(drum).transfers(), 1u);
-}
-
-// An out-of-range level index is a structural bug in the caller, not a
-// runtime condition to degrade around: it must stay a hard abort.
-TEST(StorageHierarchyDeathTest, OutOfRangeLevelIndexAborts) {
-  StorageHierarchy hierarchy(MakeCoreLevel("core", 1024, 1));
-  hierarchy.AddBackingLevel(MakeDrumLevel("drum", 8192, 4, 100));
-  EXPECT_DEATH(hierarchy.backing(1), "out of range");
-  EXPECT_DEATH(hierarchy.channel(1), "out of range");
-}
-
-TEST(StorageHierarchyTest, DescribeListsEveryLevel) {
-  StorageHierarchy hierarchy(MakeCoreLevel("core", 1024, 1));
-  hierarchy.AddBackingLevel(MakeDrumLevel("drum", 8192, 4, 100));
-  const std::string text = hierarchy.Describe();
-  EXPECT_NE(text.find("core"), std::string::npos);
-  EXPECT_NE(text.find("drum"), std::string::npos);
-  EXPECT_NE(text.find("8192"), std::string::npos);
 }
 
 }  // namespace

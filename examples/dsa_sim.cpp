@@ -482,6 +482,12 @@ int main(int argc, char** argv) {
       Usage(argv[0], "--core must hold at least one page (--core >= --page)");
     }
   }
+  // The variable-unit family tags each core word with a 32-bit block size
+  // (VariableAllocator asserts the bound; make it a usage error here).
+  if (spec.characteristics.unit == dsa::AllocationUnit::kVariableBlocks &&
+      spec.core_words > std::numeric_limits<std::uint32_t>::max()) {
+    Usage(argv[0], "--core above 4294967295 words is too large for --unit blocks");
+  }
   spec.backing_level = dsa::MakeDrumLevel("drum", 1u << 22, /*word_time=*/2, drum_latency);
 
   // Durable-IO fault injection: stack a FaultInjectingFs over the real

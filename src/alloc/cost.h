@@ -7,11 +7,16 @@
 //
 //   * examining one free-list node, quick-list entry, or buddy level costs
 //     one cycle (the paper's own search-length metric);
-//   * descending a balanced size index (FreeList's by-size tree) costs the
-//     tree depth — a best-fit "single probe" is really ceil(log2(n+1))
-//     comparisons;
+//   * descending a balanced size index costs the tree depth — a best-fit
+//     "single probe" is really ceil(log2(n+1)) comparisons;
 //   * carving a remainder or merging one boundary-tag neighbour costs one
 //     cycle (constant-time pointer/tag surgery).
+//
+// The charges model the search the simulated machine performs, not the
+// host structure that answers it: FreeList's flat sorted vectors and
+// VariableAllocator's size tags are charged as a balanced size index would
+// be, so the hole counts, merge counts and every charged cycle are
+// independent of how the host stores the holes and the live blocks.
 //
 // The model intentionally favours nothing: segregated fits win on it only
 // by doing less bookkeeping per request, which is the design's actual

@@ -6,11 +6,44 @@
 
 namespace dsa {
 
+namespace {
+
+// Orders holes by start address against a bare address.
+bool StartsBefore(const FreeList::Hole& hole, std::uint64_t addr) { return hole.first < addr; }
+bool StartsAfter(std::uint64_t addr, const FreeList::Hole& hole) { return addr < hole.first; }
+
+}  // namespace
+
 FreeList::FreeList(WordCount capacity) {
   if (capacity > 0) {
-    holes_.emplace(0, capacity);
-    by_size_.emplace(capacity, 0);
+    holes_.emplace_back(0, capacity);
+    by_size_.emplace_back(capacity, 0);
     total_free_ = capacity;
+  }
+}
+
+void FreeList::IndexInsert(SizeKey key) {
+  by_size_.insert(std::lower_bound(by_size_.begin(), by_size_.end(), key), key);
+}
+
+void FreeList::IndexErase(SizeKey key) {
+  const auto it = std::lower_bound(by_size_.begin(), by_size_.end(), key);
+  DSA_ASSERT(it != by_size_.end() && *it == key, "size index lost a hole");
+  by_size_.erase(it);
+}
+
+void FreeList::IndexMove(SizeKey from, SizeKey to) {
+  const auto old_pos = std::lower_bound(by_size_.begin(), by_size_.end(), from);
+  DSA_ASSERT(old_pos != by_size_.end() && *old_pos == from, "size index lost a hole");
+  const auto new_pos = std::lower_bound(by_size_.begin(), by_size_.end(), to);
+  if (old_pos < new_pos) {
+    // Growing rank: the keys in between slide down one slot.
+    std::move(old_pos + 1, new_pos, old_pos);
+    *(new_pos - 1) = to;
+  } else {
+    // Falling (or equal) rank: the keys in between slide up one slot.
+    std::move_backward(new_pos, old_pos, old_pos + 1);
+    *new_pos = to;
   }
 }
 
@@ -19,10 +52,9 @@ void FreeList::Insert(Block hole) {
   const std::uint64_t start = hole.addr.value;
   const std::uint64_t end = start + hole.size;
 
-  // The first hole at or after `start`.
-  auto after = holes_.lower_bound(start);
-  // The hole before it, if any.
-  auto before = after == holes_.begin() ? holes_.end() : std::prev(after);
+  // The first hole at or after `start`, and the hole before it, if any.
+  const auto after = std::lower_bound(holes_.begin(), holes_.end(), start, StartsBefore);
+  const auto before = after == holes_.begin() ? holes_.end() : std::prev(after);
 
   if (before != holes_.end()) {
     DSA_ASSERT(before->first + before->second <= start, "hole overlaps predecessor (double free?)");
@@ -30,21 +62,28 @@ void FreeList::Insert(Block hole) {
   if (after != holes_.end()) {
     DSA_ASSERT(end <= after->first, "hole overlaps successor (double free?)");
   }
+  const bool merge_before = before != holes_.end() && before->first + before->second == start;
+  const bool merge_after = after != holes_.end() && after->first == end;
 
-  std::uint64_t new_start = start;
-  std::uint64_t new_end = end;
-  if (before != holes_.end() && before->first + before->second == start) {
-    new_start = before->first;
-    by_size_.erase({before->second, before->first});
-    holes_.erase(before);
+  // Coalescing rewrites the surviving neighbour in place.
+  if (merge_before) {
+    const WordCount merged = before->second + hole.size + (merge_after ? after->second : 0);
+    if (merge_after) {
+      IndexErase({after->second, after->first});
+    }
+    IndexMove({before->second, before->first}, {merged, before->first});
+    before->second = merged;
+    if (merge_after) {
+      holes_.erase(after);
+    }
+  } else if (merge_after) {
+    IndexMove({after->second, after->first}, {after->second + hole.size, start});
+    after->first = start;
+    after->second += hole.size;
+  } else {
+    holes_.insert(after, Hole{start, hole.size});
+    IndexInsert({hole.size, start});
   }
-  if (after != holes_.end() && after->first == end) {
-    new_end = after->first + after->second;
-    by_size_.erase({after->second, after->first});
-    holes_.erase(after);
-  }
-  holes_.emplace(new_start, new_end - new_start);
-  by_size_.emplace(new_end - new_start, new_start);
   total_free_ += hole.size;
 }
 
@@ -53,22 +92,28 @@ void FreeList::TakeRange(PhysicalAddress addr, WordCount size) {
   const std::uint64_t start = addr.value;
   const std::uint64_t end = start + size;
 
-  auto it = holes_.upper_bound(start);
+  auto it = std::upper_bound(holes_.begin(), holes_.end(), start, StartsAfter);
   DSA_ASSERT(it != holes_.begin(), "range not inside any hole");
   --it;
   const std::uint64_t hole_start = it->first;
   const std::uint64_t hole_end = it->first + it->second;
   DSA_ASSERT(hole_start <= start && end <= hole_end, "range not inside a single hole");
 
-  by_size_.erase({it->second, it->first});
-  holes_.erase(it);
+  const SizeKey old_key{it->second, hole_start};
   if (hole_start < start) {
-    holes_.emplace(hole_start, start - hole_start);
-    by_size_.emplace(start - hole_start, hole_start);
-  }
-  if (end < hole_end) {
-    holes_.emplace(end, hole_end - end);
-    by_size_.emplace(hole_end - end, end);
+    // The low remainder keeps the hole's slot.
+    IndexMove(old_key, {start - hole_start, hole_start});
+    it->second = start - hole_start;
+    if (end < hole_end) {
+      holes_.insert(it + 1, Hole{end, hole_end - end});
+      IndexInsert({hole_end - end, end});
+    }
+  } else if (end < hole_end) {
+    IndexMove(old_key, {hole_end - end, end});
+    *it = Hole{end, hole_end - end};
+  } else {
+    IndexErase(old_key);
+    holes_.erase(it);
   }
   total_free_ -= size;
 }
@@ -77,7 +122,7 @@ bool FreeList::RangeIsFree(PhysicalAddress addr, WordCount size) const {
   if (size == 0) {
     return true;
   }
-  auto it = holes_.upper_bound(addr.value);
+  auto it = std::upper_bound(holes_.begin(), holes_.end(), addr.value, StartsAfter);
   if (it == holes_.begin()) {
     return false;
   }
@@ -86,11 +131,11 @@ bool FreeList::RangeIsFree(PhysicalAddress addr, WordCount size) const {
 }
 
 WordCount FreeList::largest_hole() const {
-  return by_size_.empty() ? 0 : by_size_.rbegin()->first;
+  return by_size_.empty() ? 0 : by_size_.back().first;
 }
 
 std::optional<PhysicalAddress> FreeList::SmallestHoleAtLeast(WordCount size) const {
-  const auto it = by_size_.lower_bound({size, 0});
+  const auto it = std::lower_bound(by_size_.begin(), by_size_.end(), SizeKey{size, 0});
   if (it == by_size_.end()) {
     return std::nullopt;
   }
@@ -98,11 +143,12 @@ std::optional<PhysicalAddress> FreeList::SmallestHoleAtLeast(WordCount size) con
 }
 
 std::optional<PhysicalAddress> FreeList::LargestHoleAtLeast(WordCount size) const {
-  if (by_size_.empty() || by_size_.rbegin()->first < size) {
+  if (by_size_.empty() || by_size_.back().first < size) {
     return std::nullopt;
   }
   // Lowest-addressed hole of the maximum size.
-  const auto it = by_size_.lower_bound({by_size_.rbegin()->first, 0});
+  const auto it =
+      std::lower_bound(by_size_.begin(), by_size_.end(), SizeKey{by_size_.back().first, 0});
   return PhysicalAddress{it->second};
 }
 

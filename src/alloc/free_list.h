@@ -5,18 +5,19 @@
 // locations" (the paper's definition of fragmentation) a meaningful metric:
 // two adjacent holes are always recorded as one.
 //
-// Alongside the address-ordered map (the coalescing source of truth) the
-// list maintains a size-ordered secondary index, so best-fit and worst-fit
-// placement resolve in O(log holes) instead of scanning every hole.  The
-// index orders by (size, address); ties on size therefore resolve to the
-// lowest address, exactly as an address-ordered scan would.
+// Both indexes are flat sorted vectors, so the list allocates only when its
+// hole count reaches a new high, never per insert or take.  Beside the
+// address-ordered vector (the coalescing source of truth) the list keeps a
+// size-ordered index of (size, address) pairs, so best-fit and worst-fit
+// placement resolve by binary search instead of scanning every hole; ties on
+// size therefore resolve to the lowest address, exactly as an address-ordered
+// scan would.  A hole that grows or shrinks in place slides to its new rank
+// in the size index, shifting only the entries between the two ranks.
 
 #ifndef SRC_ALLOC_FREE_LIST_H_
 #define SRC_ALLOC_FREE_LIST_H_
 
-#include <map>
 #include <optional>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -27,8 +28,9 @@ namespace dsa {
 
 class FreeList {
  public:
-  using HoleMap = std::map<std::uint64_t, WordCount>;  // start address -> size
-  using const_iterator = HoleMap::const_iterator;
+  // (start address, size), in address order.
+  using Hole = std::pair<std::uint64_t, WordCount>;
+  using const_iterator = std::vector<Hole>::const_iterator;
 
   FreeList() = default;
 
@@ -73,9 +75,16 @@ class FreeList {
   }
 
  private:
-  HoleMap holes_;
-  // (size, start address) for every hole in holes_.
-  std::set<std::pair<WordCount, std::uint64_t>> by_size_;
+  using SizeKey = std::pair<WordCount, std::uint64_t>;  // (size, start address)
+
+  void IndexInsert(SizeKey key);
+  void IndexErase(SizeKey key);
+  // Replaces `from` by `to` in the size index.
+  void IndexMove(SizeKey from, SizeKey to);
+
+  std::vector<Hole> holes_;
+  // (size, start address) for every hole in holes_, sorted.
+  std::vector<SizeKey> by_size_;
   WordCount total_free_{0};
 };
 

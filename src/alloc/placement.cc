@@ -1,5 +1,7 @@
 #include "src/alloc/placement.h"
 
+#include <algorithm>
+
 #include "src/core/assert.h"
 
 namespace dsa {
@@ -31,10 +33,14 @@ std::optional<PhysicalAddress> NextFitPlacement::Choose(const FreeList& holes, W
     }
     return std::nullopt;
   };
-  auto start_it = holes.begin();
-  while (start_it != holes.end() && start_it->first + start_it->second <= rover_) {
-    ++start_it;
-  }
+  // The first hole ending past the rover.  Hole ends rise with their starts,
+  // so a binary search finds it; the search inspects no hole for fit and
+  // counts none.
+  const auto start_it =
+      std::upper_bound(holes.begin(), holes.end(), rover_,
+                       [](std::uint64_t rover, const FreeList::Hole& hole) {
+                         return rover < hole.first + hole.second;
+                       });
   if (auto found = scan(start_it, holes.end())) {
     CountSearch(examined);
     return found;

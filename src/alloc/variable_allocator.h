@@ -2,12 +2,19 @@
 // pluggable placement policy.  This is the allocation engine of the
 // B5000-style systems where "the unit of allocation ... directly reflects
 // the allocation request".
+//
+// Live blocks carry boundary tags: the size of each live block is written at
+// its start address in a side array of one tag per storage word (zero: no
+// block starts here).  Freeing, sizing and relocating a block are therefore
+// O(1) lookups that allocate nothing; the array is the only per-word cost,
+// four bytes a word, paid once at construction.
 
 #ifndef SRC_ALLOC_VARIABLE_ALLOCATOR_H_
 #define SRC_ALLOC_VARIABLE_ALLOCATOR_H_
 
-#include <map>
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "src/alloc/allocator.h"
 #include "src/alloc/compactible.h"
@@ -33,7 +40,8 @@ class VariableAllocator : public Allocator, public Compactible {
   const PlacementPolicy& policy() const { return *policy_; }
   const FreeList& free_list() const { return free_; }
 
-  // Compactible: live blocks in address order (compaction input).
+  // Compactible: live blocks in address order (compaction input), read off
+  // the tags by stepping over each block and each hole: O(blocks + holes).
   std::vector<Block> LiveBlocks() const override;
   std::size_t HoleCount() const override { return free_.hole_count(); }
 
@@ -49,7 +57,9 @@ class VariableAllocator : public Allocator, public Compactible {
   WordCount capacity_;
   std::unique_ptr<PlacementPolicy> policy_;
   FreeList free_;
-  std::map<std::uint64_t, WordCount> live_;  // start address -> size
+  // Size of the live block starting at each address; 0 where none starts.
+  // The capacity bounds every size, so 32 bits hold any tag.
+  std::vector<std::uint32_t> size_tags_;
   WordCount live_words_{0};
   AllocatorStats stats_;
 };

@@ -1,9 +1,10 @@
-// Page -> frame residency index: the one structure behind every "is this
-// page in core, and where?" question the simulator asks on a reference.
+// Key -> id index: the one structure behind every "is this page in core, and
+// where?" question the simulator asks on a reference, and behind the
+// segmented VM's slice -> segment table.
 //
-// At most `frames` pages are resident at once, so the index is a flat
+// At most `capacity` keys are present at once, so the index is a flat
 // open-addressing table sized once to a power of two of at least four times
-// the frame count: it never rehashes, never allocates after construction,
+// that capacity: it never rehashes, never allocates after construction,
 // and a probe is one multiply, one shift and usually one slot.  Linear
 // probing with backward-shift deletion keeps every chain gap-free without
 // tombstones, so a long run of faults cannot degrade later lookups.  The
@@ -11,10 +12,11 @@
 // (the miss, the victim's erase, the insert): at 1/2, primary clustering
 // made that as costly as a node-based map.
 //
-// Page ids are arbitrary 64-bit keys (the paged-segmented VM packs
-// (segment, page) pairs into them), so empty slots are marked by a frame
-// sentinel rather than a reserved page value.  Iteration order is the slot
-// order, which depends on the hash; callers that serialize sort first.
+// Keys are arbitrary 64-bit values (the paged-segmented VM packs
+// (segment, page) pairs into them, and a trace may name any address), so
+// empty slots are marked by an id sentinel rather than a reserved key.
+// Iteration order is the slot order, which depends on the hash; callers that
+// serialize sort first.
 
 #ifndef SRC_CORE_RESIDENT_INDEX_H_
 #define SRC_CORE_RESIDENT_INDEX_H_
@@ -30,68 +32,72 @@
 
 namespace dsa {
 
-class ResidentIndex {
+// `Id` is a StrongId over std::uint64_t; its all-ones value is reserved.
+template <typename Id>
+class FlatIndex {
  public:
-  // Holds up to `frames` pages.
-  explicit ResidentIndex(std::size_t frames)
-      : max_size_(frames),
-        slots_(std::bit_ceil(std::max<std::size_t>(4 * frames, 2))),
+  // Holds up to `capacity` keys.
+  explicit FlatIndex(std::size_t capacity)
+      : max_size_(capacity),
+        slots_(std::bit_ceil(std::max<std::size_t>(4 * capacity, 2))),
         mask_(slots_.size() - 1),
         shift_(64 - std::countr_zero(slots_.size())) {}
 
   std::size_t size() const { return size_; }
-  // Slots in the table: a power of two, at least four times the frame count.
+  // The most keys the index holds.
+  std::size_t max_size() const { return max_size_; }
+  // Slots in the table: a power of two, at least four times the capacity.
   std::size_t slot_count() const { return slots_.size(); }
 
-  // The slot a probe for `page` starts at.
-  std::size_t HomeSlot(std::uint64_t page) const {
-    return static_cast<std::size_t>((page * kMultiplier) >> shift_);
+  // The slot a probe for `key` starts at.
+  std::size_t HomeSlot(std::uint64_t key) const {
+    return static_cast<std::size_t>((key * kMultiplier) >> shift_);
   }
 
-  std::optional<FrameId> Find(std::uint64_t page) const {
-    for (std::size_t i = HomeSlot(page);; i = (i + 1) & mask_) {
+  std::optional<Id> Find(std::uint64_t key) const {
+    for (std::size_t i = HomeSlot(key);; i = (i + 1) & mask_) {
       const Slot& slot = slots_[i];
-      if (slot.frame == kEmpty) {
+      if (slot.id == kEmpty) {
         return std::nullopt;
       }
-      if (slot.page == page) {
-        return FrameId{slot.frame};
+      if (slot.key == key) {
+        return Id{slot.id};
       }
     }
   }
 
-  bool Contains(std::uint64_t page) const { return Find(page).has_value(); }
+  bool Contains(std::uint64_t key) const { return Find(key).has_value(); }
 
-  // Adds page -> frame; returns false (and changes nothing) when the page is
+  // Adds key -> id; returns false (and changes nothing) when the key is
   // already present.
-  bool Insert(std::uint64_t page, FrameId frame) {
-    DSA_ASSERT(frame.value != kEmpty, "frame id collides with the empty-slot sentinel");
-    std::size_t i = HomeSlot(page);
-    for (; slots_[i].frame != kEmpty; i = (i + 1) & mask_) {
-      if (slots_[i].page == page) {
+  bool Insert(std::uint64_t key, Id id) {
+    DSA_ASSERT(id.value != kEmpty, "id collides with the empty-slot sentinel");
+    std::size_t i = HomeSlot(key);
+    for (; slots_[i].id != kEmpty; i = (i + 1) & mask_) {
+      if (slots_[i].key == key) {
         return false;
       }
     }
-    DSA_ASSERT(size_ < max_size_, "residency index holds more pages than frames");
-    slots_[i] = Slot{page, frame.value};
+    DSA_ASSERT(size_ < max_size_, "index holds more keys than its capacity");
+    slots_[i] = Slot{key, id.value};
     ++size_;
     return true;
   }
 
-  // Removes `page`; returns false when it was not present.
-  bool Erase(std::uint64_t page) {
-    std::size_t hole = HomeSlot(page);
-    while (slots_[hole].frame != kEmpty && slots_[hole].page != page) {
+  // Removes `key`; returns false when it was not present.
+  bool Erase(std::uint64_t key) {
+    std::size_t hole = HomeSlot(key);
+    while (slots_[hole].id != kEmpty && slots_[hole].key != key) {
       hole = (hole + 1) & mask_;
     }
-    if (slots_[hole].frame == kEmpty) {
+    if (slots_[hole].id == kEmpty) {
       return false;
     }
     // Backward shift: pull each later chain member whose home does not lie
     // in (hole, j] into the hole, so no lookup ever meets a gap before its
     // key.
-    for (std::size_t j = (hole + 1) & mask_; slots_[j].frame != kEmpty; j = (j + 1) & mask_) {
-      if (((j - HomeSlot(slots_[j].page)) & mask_) >= ((j - hole) & mask_)) {
+    for (std::size_t j = (hole + 1) & mask_; slots_[j].id != kEmpty; j = (j + 1) & mask_) {
+      if (((j - HomeSlot(slots_[j].key)) & mask_) >= ((j - hole) & mask_)) {
         slots_[hole] = slots_[j];
         hole = j;
       }
@@ -101,12 +107,12 @@ class ResidentIndex {
     return true;
   }
 
-  // Calls fn(page, frame) for every entry, in slot order.
+  // Calls fn(key, id) for every entry, in slot order.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
     for (const Slot& slot : slots_) {
-      if (slot.frame != kEmpty) {
-        fn(slot.page, FrameId{slot.frame});
+      if (slot.id != kEmpty) {
+        fn(slot.key, Id{slot.id});
       }
     }
   }
@@ -114,12 +120,12 @@ class ResidentIndex {
  private:
   static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
   // 2^64 / golden ratio: Fibonacci hashing keeps the product's top bits,
-  // which every key bit reaches, so consecutive page ids scatter.
+  // which every key bit reaches, so consecutive keys scatter.
   static constexpr std::uint64_t kMultiplier = 0x9e3779b97f4a7c15ULL;
 
   struct Slot {
-    std::uint64_t page{0};
-    std::uint64_t frame{kEmpty};
+    std::uint64_t key{0};
+    std::uint64_t id{kEmpty};
   };
 
   std::size_t max_size_;
@@ -128,6 +134,9 @@ class ResidentIndex {
   std::size_t mask_;
   int shift_;
 };
+
+// Page -> frame residency.
+using ResidentIndex = FlatIndex<FrameId>;
 
 }  // namespace dsa
 

@@ -179,10 +179,10 @@ void SegmentManager::CompactCore() {
   stats_.compaction_cycles += result.move_cycles;
 }
 
-std::optional<Block> SegmentManager::MakeRoom(WordCount size, Cycles now) {
+Block SegmentManager::MakeRoom(WordCount size, Cycles now) {
   for (;;) {
-    if (auto block = allocator_.Allocate(size)) {
-      return block;
+    if (const std::optional<Block> block = allocator_.Allocate(size)) {
+      return *block;
     }
     // Enough free words but no hole big enough => fragmentation; compact if
     // the configuration allows, otherwise fall through to eviction.
@@ -192,9 +192,7 @@ std::optional<Block> SegmentManager::MakeRoom(WordCount size, Cycles now) {
       continue;
     }
     const std::optional<SegmentId> victim = ChooseVictim();
-    if (!victim.has_value()) {
-      return std::nullopt;
-    }
+    DSA_ASSERT(victim.has_value(), "an empty core has no hole for a segment that fits it");
     Evict(*victim, now);
   }
 }
@@ -245,14 +243,7 @@ Expected<SegmentAccessOutcome, Fault> SegmentManager::Access(SegmentId segment, 
     ++stats_.segment_faults;
     DSA_TRACE_EMIT(tracer_, EventKind::kSegmentFault, segment.value, info.extent);
     outcome.segment_fault = true;
-    const std::optional<Block> block = MakeRoom(info.extent, now);
-    if (!block.has_value()) {
-      Fault fault;
-      fault.kind = FaultKind::kSegmentNotPresent;
-      fault.segment = segment;
-      return MakeUnexpected(fault);
-    }
-    outcome.wait_cycles = FetchInto(segment, *block, now);
+    outcome.wait_cycles = FetchInto(segment, MakeRoom(info.extent, now), now);
     stats_.wait_cycles += outcome.wait_cycles;
   }
 

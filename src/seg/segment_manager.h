@@ -124,9 +124,10 @@ class SegmentManager {
   SegmentInfo& InfoFor(SegmentId segment);
   const SegmentInfo& InfoFor(SegmentId segment) const;
 
-  // Makes a core block of `size` available, evicting/compacting as needed.
-  // Returns the block, or nullopt if even evicting everything cannot help.
-  std::optional<Block> MakeRoom(WordCount size, Cycles now);
+  // Allocates a core block of `size`, evicting/compacting as needed.  It
+  // cannot fail: every resident segment is a candidate, and every extent
+  // fits the core, so evicting everything leaves one hole that fits.
+  Block MakeRoom(WordCount size, Cycles now);
 
   // Picks a resident victim; nullopt if none is resident.  Walks the
   // residency bitmap in id order, one word per 64 ids: the cyclic sweep stops

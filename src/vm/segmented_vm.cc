@@ -6,15 +6,24 @@
 
 namespace dsa {
 
+namespace {
+
+// The most slices Run sizes the slice table for up front.  A trace that
+// names more grows it by doubling, so a long trace over a few slices spread
+// across the name space does not pay for a table sized by its length.
+constexpr std::uint64_t kPresizedSlices = std::uint64_t{1} << 12;
+
+}  // namespace
+
 SegmentedVm::SegmentedVm(SegmentedVmConfig config)
     : config_(std::move(config)), descriptor_cache_(config_.descriptor_cache_entries) {
   DSA_ASSERT(config_.workload_segment_words > 0, "workload segment size must be positive");
   DSA_ASSERT(config_.workload_segment_words <= config_.max_segment_extent,
              "workload segments exceed the machine's segment limit");
-  Reset();
+  Reset(0);
 }
 
-void SegmentedVm::Reset() {
+void SegmentedVm::Reset(std::size_t slices) {
   clock_.Reset();
   backing_ = std::make_unique<BackingStore>(config_.backing_level);
   channel_ = std::make_unique<TransferChannel>();
@@ -28,7 +37,7 @@ void SegmentedVm::Reset() {
   manager_ = std::make_unique<SegmentManager>(mgr, backing_.get(), channel_.get());
   manager_->SetTracer(config_.tracer);
 
-  workload_segments_.clear();
+  slices_ = FlatIndex<SegmentId>(slices);
   descriptor_cache_ = AssociativeMemory(config_.descriptor_cache_entries);
   space_time_ = SpaceTimeAccumulator{};
   references_ = 0;
@@ -41,17 +50,29 @@ void SegmentedVm::Reset() {
 
 SegmentId SegmentedVm::SegmentFor(Name name) {
   const std::uint64_t slice = name.value / config_.workload_segment_words;
-  auto it = workload_segments_.find(slice);
-  if (it != workload_segments_.end()) {
-    return it->second;
+  if (const std::optional<SegmentId> segment = slices_.Find(slice)) {
+    return *segment;
+  }
+  if (slices_.size() == slices_.max_size()) {
+    // Full: a trace naming more than kPresizedSlices slices, advice outside
+    // a Run, or the last address, which NameExtent cannot count.
+    FlatIndex<SegmentId> larger(2 * slices_.max_size() + 1);
+    slices_.ForEach([&larger](std::uint64_t key, SegmentId id) { larger.Insert(key, id); });
+    slices_ = std::move(larger);
   }
   const SegmentId segment = manager_->Create(config_.workload_segment_words);
-  workload_segments_.emplace(slice, segment);
+  slices_.Insert(slice, segment);
   return segment;
 }
 
 VmReport SegmentedVm::Run(const ReferenceTrace& trace) {
-  Reset();
+  // A trace touches at most one slice per reference, and no more slices than
+  // its name extent spans.
+  const WordCount extent = trace.NameExtent();
+  const std::uint64_t spanned = extent / config_.workload_segment_words +
+                                (extent % config_.workload_segment_words != 0 ? 1 : 0);
+  Reset(static_cast<std::size_t>(
+      std::min<std::uint64_t>({trace.refs.size(), spanned, kPresizedSlices})));
   for (const Reference& ref : trace.refs) {
     ++references_;
     clock_.Advance(config_.cycles_per_reference);
@@ -80,7 +101,7 @@ VmReport SegmentedVm::Run(const ReferenceTrace& trace) {
     const auto outcome = manager_->Access(segment, offset, ref.kind, clock_.now());
     if (!outcome.has_value()) {
       DSA_ASSERT(outcome.error().kind == FaultKind::kBoundsViolation,
-                 "segment allocation failed outright");
+                 "a workload segment access faulted other than on bounds");
       ++bounds_violations_;
       continue;
     }

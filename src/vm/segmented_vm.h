@@ -12,10 +12,10 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/core/clock.h"
+#include "src/core/resident_index.h"
 #include "src/map/associative_memory.h"
 #include "src/map/cost_model.h"
 #include "src/mem/backing_store.h"
@@ -67,7 +67,8 @@ class SegmentedVm : public StorageAllocationSystem {
   const SegmentedVmConfig& config() const { return config_; }
 
  private:
-  void Reset();
+  // Starts afresh with a slice table for up to `slices` slices.
+  void Reset(std::size_t slices);
   // Lazily creates the workload segment covering `name`.
   SegmentId SegmentFor(Name name);
 
@@ -76,7 +77,10 @@ class SegmentedVm : public StorageAllocationSystem {
   std::unique_ptr<BackingStore> backing_;
   std::unique_ptr<TransferChannel> channel_;
   std::unique_ptr<SegmentManager> manager_;
-  std::unordered_map<std::uint64_t, SegmentId> workload_segments_;  // slice index -> segment
+  // Slice index -> segment.  Run presizes it to the trace's distinct-slice
+  // bound (capped), and it doubles when full, so its memory follows the
+  // slices the trace names, not its length or its highest name.
+  FlatIndex<SegmentId> slices_{0};
   AssociativeMemory descriptor_cache_;
   SpaceTimeAccumulator space_time_;
 

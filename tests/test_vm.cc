@@ -266,6 +266,86 @@ TEST(SegmentedVmTest, SeededRunsKeepTheirPinnedDigest) {
   EXPECT_EQ(digest, 0x6c9832d74e0d31f5ULL) << std::hex << "got 0x" << digest;
 }
 
+// A trace may name any 64-bit address: slices near 2^62 must cost what the
+// same slices renumbered densely cost, in memory (a table indexed by slice
+// would need 2^53 entries) and in every simulated number.
+TEST(SegmentedVmTest, SparseNamesNear2To62MatchTheirDenseRenumbering) {
+  constexpr WordCount kSlice = 512;
+  constexpr std::uint64_t kSlices = 24;
+  Rng rng(62);
+  ReferenceTrace dense{"dense", {}};
+  ReferenceTrace sparse{"sparse", {}};
+  for (int i = 0; i < 3000; ++i) {
+    const std::uint64_t slice = rng.Below(kSlices);
+    const WordCount offset = rng.Below(kSlice);
+    const AccessKind kind = rng.Below(4) == 0 ? AccessKind::kWrite : AccessKind::kRead;
+    dense.refs.push_back({Name{slice * kSlice + offset}, kind});
+    sparse.refs.push_back(
+        {Name{(std::uint64_t{1} << 62) + slice * (std::uint64_t{1} << 40) + offset}, kind});
+  }
+  SegmentedVmConfig config;
+  config.core_words = 4096;
+  config.max_segment_extent = kSlice;
+  config.workload_segment_words = kSlice;
+  config.backing_level = MakeDrumLevel("drum", 1u << 16, 2, 500);
+  config.descriptor_cache_entries = 4;
+  const VmReport want = SegmentedVm(config).Run(dense);
+  SegmentedVm vm(config);
+  const VmReport got = vm.Run(sparse);
+  EXPECT_GT(want.faults, kSlices);
+  EXPECT_GT(want.writebacks, 0u);
+  EXPECT_EQ(got.references, want.references);
+  EXPECT_EQ(got.faults, want.faults);
+  EXPECT_EQ(got.writebacks, want.writebacks);
+  EXPECT_EQ(got.bounds_violations, 0u);
+  EXPECT_EQ(got.total_cycles, want.total_cycles);
+  EXPECT_EQ(got.translation_cycles, want.translation_cycles);
+  EXPECT_EQ(got.wait_cycles, want.wait_cycles);
+  EXPECT_EQ(got.peak_resident_words, want.peak_resident_words);
+  EXPECT_EQ(vm.manager().segment_count(), kSlices);
+}
+
+// More distinct slices than Run presizes the slice table for: it grows, and
+// every slice keeps its segment, so a second sweep finds the segments the
+// first one created.
+TEST(SegmentedVmTest, SliceTableGrowsPastItsPresizedBound) {
+  constexpr std::uint64_t kSlices = 5000;
+  ReferenceTrace trace{"spread", {}};
+  for (const AccessKind kind : {AccessKind::kRead, AccessKind::kWrite}) {
+    for (std::uint64_t slice = 0; slice < kSlices; ++slice) {
+      trace.refs.push_back(
+          {Name{(std::uint64_t{1} << 62) + slice * (std::uint64_t{1} << 40) + 5}, kind});
+    }
+  }
+  SegmentedVmConfig config;
+  config.core_words = 4096;
+  config.max_segment_extent = 512;
+  config.workload_segment_words = 512;
+  config.backing_level = MakeDrumLevel("drum", 1u << 22, 2, 500);
+  SegmentedVm vm(config);
+  const VmReport report = vm.Run(trace);
+  EXPECT_EQ(vm.manager().segment_count(), kSlices);
+  EXPECT_EQ(report.faults, 2 * kSlices);  // the core holds 8 of them
+}
+
+// Advice may name slices before any Run has sized the slice table.
+TEST(SegmentedVmTest, AdviceBeforeARunCreatesItsSlices) {
+  SegmentedVmConfig config;
+  config.core_words = 4096;
+  config.max_segment_extent = 512;
+  config.workload_segment_words = 256;
+  config.accept_advice = true;
+  config.backing_level = MakeDrumLevel("drum", 1u << 16, 2, 500);
+  SegmentedVm vm(config);
+  for (std::uint64_t slice = 0; slice < 10; ++slice) {
+    vm.AdviseWillNeed(Name{slice * 256 + 7});
+  }
+  vm.AdviseWontNeed(Name{3 * 256});
+  EXPECT_EQ(vm.manager().segment_count(), 10u);
+  EXPECT_TRUE(vm.manager().IsResident(SegmentId{0}));
+  EXPECT_FALSE(vm.manager().IsResident(SegmentId{3}));
+}
+
 // --- PagedSegmentedVm ----------------------------------------------------------------
 
 TEST(PagedSegmentedVmTest, RunsWorkloadAndReports) {

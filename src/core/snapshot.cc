@@ -1,6 +1,10 @@
 #include "src/core/snapshot.h"
 
+#include <sys/mman.h>
+
 #include <cstring>
+#include <new>
+#include <type_traits>
 
 #include "src/core/assert.h"
 #include "src/core/fsio.h"
@@ -12,7 +16,6 @@ namespace {
 constexpr char kMagic[8] = {'D', 'S', 'A', 'S', 'N', 'A', 'P', '1'};
 constexpr std::size_t kHeaderBytes = 8 + 4 + 8 + 8;  // magic, version, length, fnv
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
 
 // base^exp mod 2^64 by square-and-multiply.
@@ -43,7 +46,8 @@ void StoreLe(char* out, std::uint64_t v, int bytes) {
   }
 }
 
-void AppendLe(std::string* out, std::uint64_t v, int bytes) {
+template <class Bytes>
+void AppendLe(Bytes* out, std::uint64_t v, int bytes) {
   char buf[8];
   StoreLe(buf, v, bytes);
   out->append(buf, static_cast<std::size_t>(bytes));
@@ -51,7 +55,8 @@ void AppendLe(std::string* out, std::uint64_t v, int bytes) {
 
 // The container header up to and including the checksum field, which sits
 // in the last 8 bytes.
-void AppendHeader(std::string* out, std::uint64_t payload_bytes, std::uint64_t checksum) {
+template <class Bytes>
+void AppendHeader(Bytes* out, std::uint64_t payload_bytes, std::uint64_t checksum) {
   out->append(kMagic, sizeof(kMagic));
   AppendLe(out, kSnapshotFormatVersion, 4);
   AppendLe(out, payload_bytes, 8);
@@ -95,24 +100,52 @@ std::string SnapshotError::Describe() const {
   return out;
 }
 
+namespace {
+
+// Appends the range [offset, offset + length) to `extents`, merging it into
+// the last range when that range continues into it and is one of those
+// from index `from` on (earlier ranges belong to another byte string).
+void AppendExtent(std::vector<ByteExtent>* extents, std::size_t from, std::size_t offset,
+                  std::size_t length) {
+  if (length == 0) {
+    return;
+  }
+  if (extents->size() > from && extents->back().offset + extents->back().length == offset) {
+    extents->back().length += length;
+  } else {
+    extents->push_back({offset, length});
+  }
+}
+
 // FNV-1a XORs each byte in and then multiplies by the prime.  The XOR of a
 // zero byte changes nothing, so a run of k zero bytes is exactly h *= p^k
 // (mod 2^64).  The kernel scans 8-byte words: a non-zero word takes its
 // eight byte steps, and a run of zero words costs one square-and-multiply.
 // Sparse snapshots (page tables, backing images) hash at the cost of their
-// non-zero bytes; dense bytes hash at the byte loop's speed.
-std::uint64_t Fnv64(std::string_view bytes) {
-  std::uint64_t h = kFnvOffset;
-  const char* p = bytes.data();
+// non-zero bytes; dense bytes hash at the byte loop's speed.  With
+// kRecordExtents the same scan appends the non-zero words' ranges to
+// `extents`, merging a word into the range it continues.
+template <bool kRecordExtents>
+std::uint64_t ScanFnv64(std::string_view bytes, std::vector<ByteExtent>* extents) {
+  std::uint64_t h = kFnv64Offset;
+  const char* const begin = bytes.data();
+  const char* p = begin;
   const char* const end = p + bytes.size();
+  [[maybe_unused]] const std::size_t first = kRecordExtents ? extents->size() : 0;
   auto step = [&h](char c) {
     h ^= static_cast<unsigned char>(c);
     h *= kFnvPrime;
+  };
+  [[maybe_unused]] auto record = [&](std::size_t length) {
+    AppendExtent(extents, first, static_cast<std::size_t>(p - begin), length);
   };
   while (end - p >= 8) {
     if (LoadWord(p) != 0) {
       for (int i = 0; i < 8; ++i) {
         step(p[i]);
+      }
+      if constexpr (kRecordExtents) {
+        record(8);
       }
       p += 8;
       continue;
@@ -130,10 +163,51 @@ std::uint64_t Fnv64(std::string_view bytes) {
     }
     h *= PowMod64(kFnvPrimeWord, zero_words);
   }
+  if constexpr (kRecordExtents) {
+    if (p < end) {
+      record(static_cast<std::size_t>(end - p));
+    }
+  }
   for (; p < end; ++p) {
     step(*p);
   }
   return h;
+}
+
+}  // namespace
+
+void* MapPages(std::size_t bytes) {
+  void* pages = mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (pages == MAP_FAILED) {
+    throw std::bad_alloc();
+  }
+  return pages;
+}
+
+void UnmapPages(void* pages, std::size_t bytes) noexcept { munmap(pages, bytes); }
+
+std::uint64_t Fnv64(std::string_view bytes) { return ScanFnv64<false>(bytes, nullptr); }
+
+std::uint64_t Fnv64Extents(std::string_view bytes, std::vector<ByteExtent>* extents) {
+  return ScanFnv64<true>(bytes, extents);
+}
+
+std::uint64_t Fnv64Over(std::uint64_t state, std::string_view bytes,
+                        std::span<const ByteExtent> extents) {
+  std::uint64_t h = state;
+  std::size_t at = 0;  // first byte not yet hashed
+  for (const ByteExtent& extent : extents) {
+    DSA_ASSERT(extent.offset >= at && extent.length <= bytes.size() - extent.offset,
+               "extents must be ascending, disjoint and inside the bytes");
+    h *= PowMod64(kFnvPrime, extent.offset - at);
+    const char* p = bytes.data() + extent.offset;
+    for (const char* const stop = p + extent.length; p < stop; ++p) {
+      h ^= static_cast<unsigned char>(*p);
+      h *= kFnvPrime;
+    }
+    at = extent.offset + extent.length;
+  }
+  return h * PowMod64(kFnvPrime, bytes.size() - at);
 }
 
 void SnapshotWriter::U32(std::uint32_t v) { AppendLe(&payload_, v, 4); }
@@ -307,87 +381,122 @@ SnapshotWriter* SectionedSnapshotWriter::Begin(const std::string& name) {
 
 void SectionedSnapshotWriter::Section(const std::string& name, std::string body) {
   Finish();
-  sections_.push_back({name, std::make_shared<const std::string>(std::move(body))});
+  AddScanned(name, std::make_shared<const std::string>(std::move(body)));
 }
 
 void SectionedSnapshotWriter::Section(const std::string& name,
                                       std::shared_ptr<const std::string> body,
-                                      std::uint64_t hash) {
+                                      std::uint64_t hash, std::span<const ByteExtent> extents) {
   Finish();
-  sections_.push_back({name, std::move(body), hash});
+  const std::size_t begin = extents_.size();
+  extents_.insert(extents_.end(), extents.begin(), extents.end());
+  sections_.push_back({name, std::move(body), hash, begin, extents_.size()});
 }
 
 void SectionedSnapshotWriter::Finish() {
   if (!open_) {
     return;
   }
-  sections_.push_back(
-      {std::move(current_name_), std::make_shared<const std::string>(current_.TakePayload())});
+  AddScanned(std::move(current_name_),
+             std::make_shared<const std::string>(current_.TakePayload()));
   current_name_.clear();
   open_ = false;
 }
 
-std::uint64_t SectionedSnapshotWriter::HashOf(Entry* entry) {
-  if (!entry->hash.has_value()) {
-    entry->hash = Fnv64(*entry->body);
-  }
-  return *entry->hash;
+// The one scan of a body the writer was not handed a hash for.
+void SectionedSnapshotWriter::AddScanned(std::string name,
+                                         std::shared_ptr<const std::string> body) {
+  const std::size_t begin = extents_.size();
+  const std::uint64_t hash = Fnv64Extents(*body, &extents_);
+  sections_.push_back({std::move(name), std::move(body), hash, begin, extents_.size()});
 }
 
 // Two passes over the sections: the first decides which become refs and
-// sizes the payload, the second writes header and payload into one buffer
-// reserved at its final size, then patches the checksum in place.  The
-// bytes are those SnapshotWriter::Seal() gives for the same payload.
-std::string SectionedSnapshotWriter::SealKind(std::uint8_t kind, const SectionBaseline* base) {
+// sizes the payload, the second writes header and payload into `out`, which
+// is reserved to hold it, noting the payload's extents as it goes: each
+// framing run whole, each inline body's extents shifted to where the body
+// lands.  Both checksums are then taken over those extents, so no zero byte
+// is read again.  The bytes are those SnapshotWriter::Seal() gives for the
+// same payload.
+template <class Bytes>
+SealHashes SectionedSnapshotWriter::SealInto(const SectionBaseline* base, Bytes* out) {
+  Finish();
   std::vector<bool> as_ref(sections_.size(), false);
   std::size_t payload_bytes = 1 + 8;  // kind, section count
   for (std::size_t i = 0; i < sections_.size(); ++i) {
-    Entry& entry = sections_[i];
+    const Entry& entry = sections_[i];
     if (base != nullptr) {
       auto it = base->hashes.find(entry.name);
-      as_ref[i] = it != base->hashes.end() && it->second == HashOf(&entry);
+      as_ref[i] = it != base->hashes.end() && it->second == entry.hash;
     }
     payload_bytes += 8 + entry.name.size() + 1 + 8 + (as_ref[i] ? 0 : entry.body->size());
   }
-  std::string out;
-  out.reserve(kHeaderBytes + payload_bytes);
-  AppendHeader(&out, payload_bytes, 0);
-  AppendLe(&out, kind, 1);
-  AppendLe(&out, sections_.size(), 8);
+  const std::size_t sealed_bytes = kHeaderBytes + payload_bytes;
+  out->clear();
+  if (out->capacity() < sealed_bytes) {
+    // A kept buffer grows to twice the seal: its pages that no seal reaches
+    // are never resident, and a member whose cuts creep up (its backing
+    // store gains slots) is not remapped, and faulted in again, at every
+    // full cut.
+    out->reserve(std::is_same_v<Bytes, SealBuffer> ? 2 * sealed_bytes : sealed_bytes);
+  }
+  AppendHeader(out, payload_bytes, 0);
+  std::vector<ByteExtent> payload_extents;
+  const auto at = [out] { return out->size() - kHeaderBytes; };
+  std::size_t framing = at();
+  AppendLe(out, base == nullptr ? kSectionedFull : kSectionedDelta, 1);
+  AppendLe(out, sections_.size(), 8);
   for (std::size_t i = 0; i < sections_.size(); ++i) {
     const Entry& entry = sections_[i];
-    AppendLe(&out, entry.name.size(), 8);
-    out.append(entry.name);
+    AppendLe(out, entry.name.size(), 8);
+    out->append(entry.name.data(), entry.name.size());
     if (as_ref[i]) {
-      AppendLe(&out, kSectionRef, 1);
-      AppendLe(&out, *entry.hash, 8);
-    } else {
-      AppendLe(&out, kSectionInline, 1);
-      AppendLe(&out, entry.body->size(), 8);
-      out.append(*entry.body);
+      AppendLe(out, kSectionRef, 1);
+      AppendLe(out, entry.hash, 8);
+      continue;
     }
+    AppendLe(out, kSectionInline, 1);
+    AppendLe(out, entry.body->size(), 8);
+    AppendExtent(&payload_extents, 0, framing, at() - framing);
+    const std::size_t body_at = at();
+    for (std::size_t e = entry.extents_begin; e < entry.extents_end; ++e) {
+      AppendExtent(&payload_extents, 0, body_at + extents_[e].offset, extents_[e].length);
+    }
+    out->append(entry.body->data(), entry.body->size());
+    framing = at();
   }
-  DSA_ASSERT(out.size() == kHeaderBytes + payload_bytes, "sealed size disagrees with its plan");
-  const std::uint64_t checksum = Fnv64(std::string_view(out).substr(kHeaderBytes));
-  StoreLe(out.data() + kHeaderBytes - 8, checksum, 8);
-  return out;
+  AppendExtent(&payload_extents, 0, framing, at() - framing);
+  DSA_ASSERT(out->size() == sealed_bytes, "sealed size disagrees with its plan");
+  const std::string_view sealed(out->data(), out->size());
+  const std::string_view payload = sealed.substr(kHeaderBytes);
+  SealHashes hashes;
+  hashes.checksum = Fnv64Over(kFnv64Offset, payload, payload_extents);
+  StoreLe(out->data() + kHeaderBytes - 8, hashes.checksum, 8);
+  hashes.file = Fnv64Over(Fnv64(sealed.substr(0, kHeaderBytes)), payload, payload_extents);
+  return hashes;
+}
+
+SealHashes SectionedSnapshotWriter::Seal(const SectionBaseline* base, SealBuffer* out) {
+  return SealInto(base, out);
 }
 
 std::string SectionedSnapshotWriter::SealFull() {
-  Finish();
-  return SealKind(kSectionedFull, nullptr);
+  std::string out;
+  SealInto(nullptr, &out);
+  return out;
 }
 
 std::string SectionedSnapshotWriter::SealDelta(const SectionBaseline& base) {
-  Finish();
-  return SealKind(kSectionedDelta, &base);
+  std::string out;
+  SealInto(&base, &out);
+  return out;
 }
 
 SectionBaseline SectionedSnapshotWriter::Digest() {
   Finish();
   SectionBaseline digest;
-  for (Entry& entry : sections_) {
-    digest.hashes[entry.name] = HashOf(&entry);
+  for (const Entry& entry : sections_) {
+    digest.hashes[entry.name] = entry.hash;
   }
   return digest;
 }

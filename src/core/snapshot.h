@@ -27,8 +27,8 @@
 #include <cstring>
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -66,6 +66,28 @@ struct SnapshotError {
 // multiply by a power of the prime, so sparse payloads hash at the cost of
 // their non-zero bytes.
 std::uint64_t Fnv64(std::string_view bytes);
+
+// The FNV-1a state before any byte: Fnv64(bytes) == Fnv64Over(kFnv64Offset,
+// bytes, <extents of bytes>).
+inline constexpr std::uint64_t kFnv64Offset = 0xcbf29ce484222325ULL;
+
+// A byte range [offset, offset + length) of a larger byte string.
+struct ByteExtent {
+  std::size_t offset{0};
+  std::size_t length{0};
+};
+
+// Fnv64(bytes), computed in the same scan that appends to `extents` the
+// ranges of bytes' non-zero 8-byte words (adjacent words merged, a tail
+// under 8 bytes taken as one word).  Every byte outside them is zero.
+std::uint64_t Fnv64Extents(std::string_view bytes, std::vector<ByteExtent>* extents);
+
+// FNV-1a continued from `state` over `bytes`, whose non-zero bytes all lie
+// inside `extents` (ascending, disjoint, within bytes): exactly the byte
+// loop's value from `state`, but each zero gap between extents costs one
+// multiply by a power of the prime and its bytes are never read.
+std::uint64_t Fnv64Over(std::uint64_t state, std::string_view bytes,
+                        std::span<const ByteExtent> extents);
 
 // Stores `v` as the 8 little-endian bytes SnapshotWriter::U64 appends.
 inline void StoreU64Le(char* out, std::uint64_t v) {
@@ -192,17 +214,57 @@ struct SectionBaseline {
   bool empty() const { return hashes.empty(); }
 };
 
+// Whole pages mapped straight from the OS and unmapped on release; throws
+// std::bad_alloc when the mapping fails.
+void* MapPages(std::size_t bytes);
+void UnmapPages(void* pages, std::size_t bytes) noexcept;
+
+// An allocator of whole mapped pages, for the few large buffers a service
+// keeps across cuts.  Kept in the malloc heap, such a buffer would pin the
+// heap around it, and each regrowth would leave a hole that the next,
+// larger seal cannot use; a mapping leaves the heap alone, and the pages of
+// its capacity that no seal has reached are never resident.
+template <class T>
+struct PageAllocator {
+  using value_type = T;
+
+  PageAllocator() = default;
+  template <class U>
+  PageAllocator(const PageAllocator<U>&) noexcept {}
+
+  T* allocate(std::size_t n) { return static_cast<T*>(MapPages(n * sizeof(T))); }
+  void deallocate(T* p, std::size_t n) noexcept { UnmapPages(p, n * sizeof(T)); }
+
+  friend bool operator==(const PageAllocator&, const PageAllocator&) { return true; }
+};
+
+// The bytes of one sealed checkpoint member, in a buffer a store keeps from
+// cut to cut.
+using SealBuffer = std::basic_string<char, std::char_traits<char>, PageAllocator<char>>;
+
+// What a seal returns beside its bytes: the container checksum (Fnv64 of
+// the payload) and Fnv64 of the whole sealed file, header included.
+struct SealHashes {
+  std::uint64_t checksum{0};
+  std::uint64_t file{0};
+};
+
 // Builds a sectioned snapshot.  Components stream into Begin()'s writer
 // through their own SaveState(SnapshotWriter*); cached pre-serialized bodies
 // go in via Section() without re-encoding.
 //
-// Hashing contract: each section's fnv64 is computed at most once per writer
-// and shared by Digest() and SealDelta(), and a body handed in with its hash
-// (a cached page-table chunk, or the one shared body of every empty chunk,
-// PageTable::EmptyChunk()) is never hashed here at all.  SealFull() hashes
-// no section; its one hash pass is the container checksum, which Fnv64's
-// zero-run kernel prices at the payload's non-zero bytes.  Each seal
-// writes into one buffer reserved at its final size.
+// Hashing contract: one scan per body per content version, and no hash
+// pass over zeros.  A section streamed in through Begin() or handed in as a
+// plain body is scanned once, when it closes, by Fnv64Extents: the scan
+// yields its fnv64 and the extents of its non-zero words, kept side by side
+// in the writer (one extents vector per writer, an index range per
+// section).  A body handed in with its hash and extents (a cached
+// page-table chunk, or PageTable::EmptyChunk(), which has no extents) is
+// never read here at all.  Digest() and both seals share those hashes.  A
+// seal sizes its payload first, writes header and payload into the
+// caller's buffer, and derives both its checksums from the extents: the
+// framing bytes plus each inline body's extents shifted to its place in
+// the payload, so every zero gap costs one multiply (Fnv64Over).
 class SectionedSnapshotWriter {
  public:
   // Opens a new section; the returned writer is valid until the next Begin/
@@ -213,18 +275,26 @@ class SectionedSnapshotWriter {
   // container header) — the delta path's cache hit.
   void Section(const std::string& name, std::string body);
 
-  // The same, for a shared cached body whose fnv64 the caller already holds.
-  // `hash` must equal Fnv64(*body): a stale hash that matches the baseline
-  // would seal a ref to the old body, and the chain would restore old state
-  // without any checksum noticing.  The body is shared, not copied.
+  // The same, for a shared cached body whose fnv64 and non-zero extents the
+  // caller already holds.  `hash` and `extents` must be what
+  // Fnv64Extents(*body) gives: a stale hash that matches the baseline would
+  // seal a ref to the old body, and the chain would restore old state
+  // without any checksum noticing.  The body is shared, not copied; the
+  // extents are copied into the writer's one extents vector.
   void Section(const std::string& name, std::shared_ptr<const std::string> body,
-               std::uint64_t hash);
+               std::uint64_t hash, std::span<const ByteExtent> extents);
 
-  // Every section inline.
+  // Seals into `out`, which is cleared first and keeps its capacity, so a
+  // buffer reused across cuts is allocated once (a buffer too short for the
+  // seal grows to twice the seal's size).  A null `base` seals every
+  // section inline (a full cut); otherwise sections whose fnv64 matches
+  // `base` become hash references and changed or baseline-absent sections
+  // stay inline (a delta cut).
+  SealHashes Seal(const SectionBaseline* base, SealBuffer* out);
+
+  // The same seal into a fresh string: every section inline, or a delta
+  // over `base`.
   std::string SealFull();
-
-  // Sections whose fnv64 matches `base` become hash references; changed or
-  // baseline-absent sections stay inline.
   std::string SealDelta(const SectionBaseline& base);
 
   // Content hashes of all sections added so far — the baseline for the next
@@ -235,14 +305,19 @@ class SectionedSnapshotWriter {
   struct Entry {
     std::string name;
     std::shared_ptr<const std::string> body;
-    std::optional<std::uint64_t> hash{};  // Fnv64(*body), once computed or given
+    std::uint64_t hash{0};  // Fnv64(*body)
+    // The body's non-zero extents: extents_[extents_begin, extents_end).
+    std::size_t extents_begin{0};
+    std::size_t extents_end{0};
   };
 
   void Finish();
-  std::uint64_t HashOf(Entry* entry);
-  std::string SealKind(std::uint8_t kind, const SectionBaseline* base);
+  void AddScanned(std::string name, std::shared_ptr<const std::string> body);
+  template <class Bytes>
+  SealHashes SealInto(const SectionBaseline* base, Bytes* out);
 
   std::vector<Entry> sections_;
+  std::vector<ByteExtent> extents_;
   SnapshotWriter current_;
   std::string current_name_;
   bool open_{false};

@@ -229,18 +229,17 @@ void PageTableMapper::SaveSections(SectionedSnapshotWriter* w) const {
     ChunkCache& cache = chunk_cache_[k];
     if (cache.version != table_.chunk_version(k)) {
       if (table_.chunk_present(k) == 0 && table_.chunk_entries(k) == PageTable::kChunkEntries) {
-        const PageTable::SharedChunk& empty = PageTable::EmptyChunk();
-        cache.body = empty.body;
-        cache.hash = empty.hash;
+        cache.chunk = PageTable::EmptyChunk();
       } else {
         SnapshotWriter cw;
         table_.SaveChunk(k, &cw);
-        cache.body = std::make_shared<const std::string>(cw.TakePayload());
-        cache.hash = Fnv64(*cache.body);
+        cache.chunk.body = std::make_shared<const std::string>(cw.TakePayload());
+        cache.chunk.extents.clear();
+        cache.chunk.hash = Fnv64Extents(*cache.chunk.body, &cache.chunk.extents);
       }
       cache.version = table_.chunk_version(k);
     }
-    w->Section(ChunkSectionName(k), cache.body, cache.hash);
+    w->Section(ChunkSectionName(k), cache.chunk.body, cache.chunk.hash, cache.chunk.extents);
   }
 }
 

@@ -74,13 +74,18 @@ class PageTable {
   void SaveChunk(std::size_t chunk, SnapshotWriter* w) const;
   void LoadChunk(std::size_t chunk, SnapshotReader* r);
 
-  // SaveChunk's encoding of a full-length chunk with no present entry, and
-  // its fnv64.  One process-wide body, built on first use and never written
-  // again, so concurrent seals may share it.
+  // A chunk's SaveChunk encoding, shared between a serialization cache and
+  // the writers it was handed to, with its fnv64 and the extents of its
+  // non-zero words (Fnv64Extents over the body).
   struct SharedChunk {
     std::shared_ptr<const std::string> body;
     std::uint64_t hash{0};
+    std::vector<ByteExtent> extents;
   };
+
+  // The encoding of a full-length chunk with no present entry: all zeros, so
+  // it has no extents.  One process-wide body, built on first use and never
+  // written again, so concurrent seals may share it.
   static const SharedChunk& EmptyChunk();
 
  private:
@@ -125,21 +130,21 @@ class PageTableMapper final : public AddressMapper {
   // Sectioned serialization for delta checkpoints: a "map.head" section
   // (geometry, TLB, translation line, accounting) followed by one
   // "map.pt.<k>" section per page-table chunk.  Chunk bodies and their
-  // fnv64 are served from a version-keyed cache, so a chunk untouched since
-  // the previous seal costs neither a re-encode, a copy nor a hash — and an
-  // unchanged body then collapses to a 17-byte ref in the delta seal.  A
-  // full-length chunk with no present entry takes PageTable::EmptyChunk()
-  // and is never encoded or hashed at all.
+  // fnv64 and extents are served from a version-keyed cache, so a chunk
+  // untouched since the previous seal costs neither a re-encode, a copy nor
+  // a scan — and an unchanged body then collapses to a 17-byte ref in the
+  // delta seal.  A full-length chunk with no present entry takes
+  // PageTable::EmptyChunk() and is never encoded or scanned at all.
   void SaveSections(SectionedSnapshotWriter* w) const;
   void LoadSections(SectionSource* src);
 
  private:
-  // The body and its hash share one version key: both are rebuilt together
-  // or not at all, so the hash can never describe a different body.
+  // The body, its hash and its extents share one version key: all are
+  // rebuilt together or not at all, so the hash and extents can never
+  // describe a different body.
   struct ChunkCache {
     std::uint64_t version{0};  // 0 never matches a live chunk version
-    std::shared_ptr<const std::string> body;
-    std::uint64_t hash{0};  // Fnv64(*body)
+    PageTable::SharedChunk chunk;
   };
 
   WordCount page_words_;

@@ -63,10 +63,10 @@ std::uint64_t SpecFingerprint(const SystemSpec& spec) {
   return Fnv64(canon);
 }
 
-std::string SealTenantCheckpointSections(const TenantCheckpointMeta& meta,
-                                         const PagedLinearVm& vm,
-                                         const SectionBaseline* baseline,
-                                         SectionBaseline* digest_out) {
+SealHashes SealTenantCheckpointSections(const TenantCheckpointMeta& meta,
+                                        const PagedLinearVm& vm,
+                                        const SectionBaseline* baseline,
+                                        SectionBaseline* digest_out, SealBuffer* out) {
   SectionedSnapshotWriter w;
   {
     SnapshotWriter* s = w.Begin("meta");
@@ -82,7 +82,7 @@ std::string SealTenantCheckpointSections(const TenantCheckpointMeta& meta,
   if (digest_out != nullptr) {
     *digest_out = w.Digest();
   }
-  return baseline == nullptr ? w.SealFull() : w.SealDelta(*baseline);
+  return w.Seal(baseline, out);
 }
 
 Expected<TenantCheckpointMeta, SnapshotError> OpenTenantCheckpointChain(

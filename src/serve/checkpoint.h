@@ -39,15 +39,17 @@ struct TenantCheckpointMeta {
 std::uint64_t SpecFingerprint(const SystemSpec& spec);
 
 // Meta + full VM state, framed as sections: a "meta" section followed by
-// the VM's sections (see PagedLinearVm::SaveSections).  With a null
+// the VM's sections (see PagedLinearVm::SaveSections), sealed into `out`
+// (cleared, capacity kept; see SectionedSnapshotWriter::Seal).  With a null
 // `baseline` every section is inline (a full cut); with a baseline, sections
 // whose content hash matches collapse to refs (a delta cut).  `digest_out`,
 // when non-null, receives the cut's section hashes — the baseline for the
-// next delta once this cut commits.
-std::string SealTenantCheckpointSections(const TenantCheckpointMeta& meta,
-                                         const PagedLinearVm& vm,
-                                         const SectionBaseline* baseline,
-                                         SectionBaseline* digest_out);
+// next delta once this cut commits.  Returns the seal's checksums; `.file`
+// is Fnv64(*out), the manifest's link checksum.
+SealHashes SealTenantCheckpointSections(const TenantCheckpointMeta& meta,
+                                        const PagedLinearVm& vm,
+                                        const SectionBaseline* baseline,
+                                        SectionBaseline* digest_out, SealBuffer* out);
 
 // Restores a tenant from a checkpoint chain — links[0] a full sectioned
 // seal, later links deltas — into `vm`, which must be freshly Reset() and

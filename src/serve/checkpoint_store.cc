@@ -500,12 +500,21 @@ Expected<CheckpointStore::Recovered, SnapshotError> CheckpointStore::Recover() {
   return recovered;
 }
 
-void CheckpointStore::Stage(const std::string& name, std::string sealed) {
-  staged_[name] = StagedMember{std::move(sealed), /*delta=*/false};
+SealBuffer CheckpointStore::TakeSealBuffer(const std::string& name) {
+  SealBuffer buffer;
+  if (auto it = staged_.find(name); it != staged_.end()) {
+    buffer = std::move(it->second.sealed);
+    staged_.erase(it);
+  } else if (auto kept = seal_buffers_.find(name); kept != seal_buffers_.end()) {
+    buffer = std::move(kept->second);
+  }
+  buffer.clear();
+  return buffer;
 }
 
-void CheckpointStore::StageDelta(const std::string& name, std::string sealed) {
-  staged_[name] = StagedMember{std::move(sealed), /*delta=*/true};
+void CheckpointStore::Stage(const std::string& name, SealBuffer sealed,
+                            std::uint64_t file_hash, CutKind kind) {
+  staged_[name] = StagedMember{std::move(sealed), file_hash, kind == CutKind::kDelta};
 }
 
 Status<SnapshotError> CheckpointStore::Commit(CutKind kind) {
@@ -541,7 +550,7 @@ Status<SnapshotError> CheckpointStore::Commit(CutKind kind) {
   if (!delta_cut) {
     base = new_gen;
     for (const auto& [name, member] : staged_) {
-      const Link link{new_gen, false, member.sealed.size(), Fnv64(member.sealed)};
+      const Link link{new_gen, false, member.sealed.size(), member.file_hash};
       chains[name] = {link};
       fallback[name] = link;
     }
@@ -549,7 +558,7 @@ Status<SnapshotError> CheckpointStore::Commit(CutKind kind) {
     base = base_generation_;
     fallback = fallback_;
     for (const auto& [name, member] : staged_) {
-      const Link link{new_gen, member.delta, member.sealed.size(), Fnv64(member.sealed)};
+      const Link link{new_gen, member.delta, member.sealed.size(), member.file_hash};
       if (member.delta) {
         chains[name] = chains_.at(name);
         chains[name].push_back(link);
@@ -600,6 +609,13 @@ Status<SnapshotError> CheckpointStore::Commit(CutKind kind) {
   base_generation_ = base;
   chains_ = std::move(chains);
   fallback_ = std::move(fallback);
+  // Keep the committed bytes as next cut's seal buffers, and drop those of
+  // members that left the cut.
+  std::erase_if(seal_buffers_,
+                [this](const auto& kept) { return staged_.find(kept.first) == staged_.end(); });
+  for (auto& [name, member] : staged_) {
+    seal_buffers_[name] = std::move(member.sealed);
+  }
   staged_.clear();
   return Ok();
 }

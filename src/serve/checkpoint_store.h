@@ -95,15 +95,22 @@ class CheckpointStore {
   // Must be called before Stage/Commit.
   Expected<Recovered, SnapshotError> Recover();
 
-  // Stages `name` as a FULL member of the next commit (its chain restarts
-  // at the new generation).  Every commit publishes a complete cut: members
-  // not re-staged are NOT carried over.
-  void Stage(const std::string& name, std::string sealed);
+  // An empty buffer for `name`'s next seal, holding the capacity of the
+  // bytes `name` last staged (the store keeps each member's bytes once they
+  // commit), so sealing a steady member allocates nothing.  Taking the
+  // buffer of a member staged but not yet committed unstages it.
+  SealBuffer TakeSealBuffer(const std::string& name);
 
-  // Stages `name` as a DELTA link appended to its existing chain.  Only
-  // meaningful for Commit(kDelta); committing a delta link for a member
-  // with no committed chain is a typed error at Commit time.
-  void StageDelta(const std::string& name, std::string sealed);
+  // Stages `sealed` as `name`'s link in the next commit.  kFull restarts the
+  // member's chain at the new generation; kDelta appends a link to its
+  // committed chain, which only Commit(kDelta) accepts, and only for a
+  // member that has one (a typed error at Commit time otherwise).  Every
+  // commit publishes a complete cut: members not re-staged are NOT carried
+  // over.  `file_hash` must equal Fnv64(sealed): the manifest records it as
+  // the link checksum without reading the bytes again, and Recover checks
+  // it against the file.
+  void Stage(const std::string& name, SealBuffer sealed, std::uint64_t file_hash,
+             CutKind kind);
 
   // Publishes the staged cut as the next generation (see the protocol
   // above) and clears the staging area.  kDelta with no committed base yet
@@ -122,7 +129,8 @@ class CheckpointStore {
     std::uint64_t checksum{0};
   };
   struct StagedMember {
-    std::string sealed;
+    SealBuffer sealed;
+    std::uint64_t file_hash{0};  // Fnv64(sealed)
     bool delta{false};
   };
 
@@ -150,6 +158,9 @@ class CheckpointStore {
   std::map<std::string, std::vector<Link>> chains_;
   std::map<std::string, Link> fallback_;
   std::map<std::string, StagedMember> staged_;
+  // The committed bytes of every member of the current cut, kept for their
+  // capacity: TakeSealBuffer hands them back emptied.
+  std::map<std::string, SealBuffer> seal_buffers_;
 };
 
 }  // namespace dsa

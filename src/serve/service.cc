@@ -343,8 +343,10 @@ Status<SnapshotError> ServiceLoop::AppendPendingEvents(Tenant* t) {
   if (events == 0) {
     return Ok();
   }
-  // Encoded straight from the ring, oldest first: EventsToJsonl's bytes.
-  std::string lines;
+  // Encoded straight from the ring, oldest first: EventsToJsonl's bytes,
+  // into the tenant's buffer from the previous cut.
+  std::string& lines = t->event_lines;
+  lines.clear();
   t->tracer.ForEach([&lines](const TraceEvent& event) {
     AppendEventJson(&lines, event);
     lines.push_back('\n');
@@ -378,7 +380,10 @@ Status<SnapshotError> ServiceLoop::CommitCut() {
       config_.checkpoint_full_every > 1 &&
       commit_seq_ % static_cast<std::uint64_t>(config_.checkpoint_full_every) != 0;
   const bool track_baselines = config_.checkpoint_full_every > 1;
-  store_.Stage("svc", BuildSvcMember());
+  const std::string svc_bytes = BuildSvcMember();
+  SealBuffer svc = store_.TakeSealBuffer("svc");
+  svc.assign(svc_bytes.data(), svc_bytes.size());
+  store_.Stage("svc", std::move(svc), Fnv64(svc_bytes), CutKind::kFull);
   std::map<std::string, SectionBaseline> digests;
   for (const auto& t : tenants_) {
     if (t->done) {
@@ -394,15 +399,13 @@ Status<SnapshotError> ServiceLoop::CommitCut() {
     meta.jsonl_bytes = t->jsonl_bytes;
     const bool as_delta = delta_cut && !t->baseline.empty();
     SectionBaseline digest;
-    std::string sealed = SealTenantCheckpointSections(
-        meta, *t->vm, as_delta ? &t->baseline : nullptr,
-        track_baselines ? &digest : nullptr);
     const std::string member = "tenant." + t->name;
-    if (as_delta) {
-      store_.StageDelta(member, std::move(sealed));
-    } else {
-      store_.Stage(member, std::move(sealed));
-    }
+    SealBuffer sealed = store_.TakeSealBuffer(member);
+    const SealHashes hashes = SealTenantCheckpointSections(
+        meta, *t->vm, as_delta ? &t->baseline : nullptr,
+        track_baselines ? &digest : nullptr, &sealed);
+    store_.Stage(member, std::move(sealed), hashes.file,
+                 as_delta ? CutKind::kDelta : CutKind::kFull);
     if (track_baselines) {
       digests[t->name] = std::move(digest);
     }

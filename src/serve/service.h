@@ -160,6 +160,9 @@ class ServiceLoop {
     // the first successful commit, and after restore: the first commit of a
     // process is always full.
     SectionBaseline baseline;
+    // The event JSONL of the cut being committed; kept across cuts for its
+    // capacity.
+    std::string event_lines;
   };
 
   std::string EventsPath(const Tenant& t) const;

@@ -865,6 +865,12 @@ TEST(CheckpointCorruptionTest, SecondIncidentUniquifiesQuarantineNames) {
 // ---------------------------------------------------------------------------
 // Store-level delta chain protocol.
 
+// Stages `sealed` with the file hash a seal would have returned.
+void StageSealed(CheckpointStore* store, const std::string& name, const std::string& sealed,
+                 CutKind kind) {
+  store->Stage(name, SealBuffer(sealed.data(), sealed.size()), Fnv64(sealed), kind);
+}
+
 TEST(CheckpointStoreDeltaTest, DeltaCommitAppendsChainAndRecoversIt) {
   Scratch scratch("storedelta");
   const std::string dir = scratch.Out("store");
@@ -881,9 +887,9 @@ TEST(CheckpointStoreDeltaTest, DeltaCommitAppendsChainAndRecoversIt) {
     ASSERT_TRUE(recovered.has_value()) << recovered.error().Describe();
     EXPECT_EQ(recovered->generation, 0u);
   }
-  store.Stage("m", w1.SealFull());
+  StageSealed(&store, "m", w1.SealFull(), CutKind::kFull);
   ASSERT_TRUE(store.Commit(CutKind::kFull).has_value());
-  store.StageDelta("m", w2.SealDelta(baseline));
+  StageSealed(&store, "m", w2.SealDelta(baseline), CutKind::kDelta);
   ASSERT_TRUE(store.Commit(CutKind::kDelta).has_value());
   EXPECT_EQ(store.generation(), 2u);
   EXPECT_EQ(store.base_generation(), 1u);
@@ -918,14 +924,14 @@ TEST(CheckpointStoreDeltaTest, MisusedDeltaStagingIsTypedAtCommit) {
 
   // kDelta before any committed base quietly promotes to a full cut — the
   // first commit of a process seeds the chains.
-  store.Stage("m", full);
+  StageSealed(&store, "m", full, CutKind::kFull);
   ASSERT_TRUE(store.Commit(CutKind::kDelta).has_value());
   EXPECT_EQ(store.generation(), 1u);
   EXPECT_EQ(store.base_generation(), 1u);
 
   // A delta link for a member with no committed chain is a typed error.
-  store.Stage("m", full);
-  store.StageDelta("ghost", full);
+  StageSealed(&store, "m", full, CutKind::kFull);
+  StageSealed(&store, "ghost", full, CutKind::kDelta);
   {
     auto status = store.Commit(CutKind::kDelta);
     ASSERT_FALSE(status.has_value());
@@ -934,7 +940,7 @@ TEST(CheckpointStoreDeltaTest, MisusedDeltaStagingIsTypedAtCommit) {
 
   // A delta-staged member inside a FULL cut is a typed error too: a full
   // cut re-seals everything, a delta fragment has no base there.
-  store.StageDelta("m", full);
+  StageSealed(&store, "m", full, CutKind::kDelta);
   {
     auto status = store.Commit(CutKind::kFull);
     ASSERT_FALSE(status.has_value());
@@ -962,9 +968,9 @@ std::string CommitFullAndDelta(const std::string& dir) {
   w2.Begin("s")->U64(2);
   CheckpointStore store(dir);
   EXPECT_TRUE(store.Recover().has_value());
-  store.Stage("m", w1.SealFull());
+  StageSealed(&store, "m", w1.SealFull(), CutKind::kFull);
   EXPECT_TRUE(store.Commit(CutKind::kFull).has_value());
-  store.StageDelta("m", w2.SealDelta(baseline));
+  StageSealed(&store, "m", w2.SealDelta(baseline), CutKind::kDelta);
   EXPECT_TRUE(store.Commit(CutKind::kDelta).has_value());
   return ReadText(dir + "/MANIFEST");
 }

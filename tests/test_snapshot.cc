@@ -872,7 +872,9 @@ TEST(SectionHashCacheTest, PrecomputedHashesSealIdenticallyToPlainBodies) {
     for (const auto& [name, body] : bodies) {
       const std::string& b = name == "d" ? d_body : body;
       if (precomputed) {
-        w->Section(name, std::make_shared<const std::string>(b), Fnv64(b));
+        std::vector<ByteExtent> extents;
+        const std::uint64_t hash = Fnv64Extents(b, &extents);
+        w->Section(name, std::make_shared<const std::string>(b), hash, extents);
       } else {
         w->Section(name, b);
       }
